@@ -7,6 +7,7 @@
 
 use crate::json::{Json, Writer};
 use gepeto_mapred::JobStats;
+use gepeto_telemetry::metrics::{self, names, Gate};
 use gepeto_telemetry::{MemDelta, Recorder};
 
 /// Current schema identifier, bumped on breaking field changes.
@@ -153,21 +154,13 @@ impl BenchReport {
         host: HostBlock,
     ) -> Self {
         let summary = telemetry.summary();
-        let counter = |name: &str| {
-            summary
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
         let mem = MemBlock {
             peak_bytes: mem.peak_bytes,
             allocated_bytes: mem.allocated,
             allocs: mem.allocs,
-            accounted_peak: counter(gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER),
-            budget_bytes: counter(gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER),
-            peak_over_budget_bytes: counter(gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER),
+            accounted_peak: summary.counter(names::MEM_ACCOUNTED_PEAK),
+            budget_bytes: summary.counter(names::MEM_BUDGET_BYTES),
+            peak_over_budget_bytes: summary.counter(names::MEM_PEAK_OVER_BUDGET),
         };
         let critical_path = telemetry
             .virtual_critical_path()
@@ -199,8 +192,8 @@ impl BenchReport {
             map_tasks: jobs.iter().map(|s| s.map_tasks as u64).sum(),
             reduce_tasks: jobs.iter().map(|s| s.reduce_tasks as u64).sum(),
             shuffle_bytes: jobs.iter().map(|s| s.sim.shuffle_bytes).sum(),
-            retries: jobs.iter().map(|s| s.retries).sum(),
-            reexecuted_maps: jobs.iter().map(|s| s.reexecuted_maps).sum(),
+            retries: jobs.iter().map(|s| s.counter(names::TASK_RETRIES)).sum(),
+            reexecuted_maps: jobs.iter().map(|s| s.counter(names::REEXECUTED_MAPS)).sum(),
             mem,
             host,
             critical_path,
@@ -291,13 +284,15 @@ impl BenchReport {
     pub fn profile(&self, label: &str) -> gepeto_telemetry::RunProfile {
         // Host-pool activity rides along as synthetic counters so the
         // diff engine can attribute a slowdown to idling executors
-        // (`host.idle_ms` is special-cased there as a timed cause).
+        // (millisecond counters attribute there as timed causes).
         let mut counters = self.counters.clone();
         if self.host.threads > 0 {
-            counters.push(("host.busy_ms".to_string(), (self.host.busy_s * 1e3) as u64));
-            counters.push(("host.idle_ms".to_string(), (self.host.idle_s * 1e3) as u64));
-            counters.push(("host.steals".to_string(), self.host.steals));
-            counters.push(("host.threads".to_string(), self.host.threads));
+            let busy_ms = (self.host.busy_s * 1e3) as u64;
+            let idle_ms = (self.host.idle_s * 1e3) as u64;
+            counters.push((names::HOST_BUSY_MS.to_string(), busy_ms));
+            counters.push((names::HOST_IDLE_MS.to_string(), idle_ms));
+            counters.push((names::HOST_STEALS.to_string(), self.host.steals));
+            counters.push((names::HOST_THREADS.to_string(), self.host.threads));
         }
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         gepeto_telemetry::RunProfile {
@@ -575,22 +570,22 @@ pub fn compare_ignoring(
     // overshoot appearing where the baseline had none is an infinite
     // regression — the run started spilling.
     cost(
-        "mem.peak_bytes",
+        names::MEM_PEAK_BYTES,
         old.mem.peak_bytes as f64,
         new.mem.peak_bytes as f64,
     );
     cost(
-        "mem.allocated_bytes",
+        names::MEM_ALLOCATED_BYTES,
         old.mem.allocated_bytes as f64,
         new.mem.allocated_bytes as f64,
     );
     cost(
-        "mem.accounted_peak",
+        names::MEM_ACCOUNTED_PEAK,
         old.mem.accounted_peak as f64,
         new.mem.accounted_peak as f64,
     );
     cost(
-        "mem.peak_over_budget_bytes",
+        names::MEM_PEAK_OVER_BUDGET,
         old.mem.peak_over_budget_bytes as f64,
         new.mem.peak_over_budget_bytes as f64,
     );
@@ -629,13 +624,10 @@ pub fn compare_ignoring(
         }
     }
     for (name, new_v) in &new.counters {
-        // Durability bookkeeping (retry/repair/replay tallies) tracks
-        // fault-injection luck and resume history, not workload cost —
-        // drift there is expected and must not spam baseline diffs.
-        if DURABILITY_COUNTER_PREFIXES
-            .iter()
-            .any(|p| name.starts_with(p))
-        {
+        // Counters the metric table marks exempt (durability tallies,
+        // memory, host figures) drift by design or gate elsewhere, so
+        // they must not spam baseline diffs.
+        if metrics::metric(name).is_some_and(|m| m.gate == Gate::Exempt) {
             continue;
         }
         let old_v = old
@@ -652,18 +644,6 @@ pub fn compare_ignoring(
     }
     cmp
 }
-
-/// Counter families exempt from baseline-drift notes: storage-fault
-/// repairs and journal replays vary run to run by design, and the
-/// memory counters already gate through the dedicated `mem` block (a
-/// second note per moved byte would just be noise).
-const DURABILITY_COUNTER_PREFIXES: &[&str] = &[
-    "io.",
-    "journal.",
-    "spill.runs_quarantined",
-    "mem.",
-    "spill.estimate_error_bytes",
-];
 
 #[cfg(test)]
 mod tests {
@@ -843,7 +823,7 @@ mod tests {
         let cmp = compare(&a, &b, 5.0);
         assert!(cmp.notes.is_empty(), "{:?}", cmp.notes);
         // Other spill counters still note drift.
-        b.counters.push(("spill.files".to_string(), 3));
+        b.counters.push((names::SPILL_FILES.to_string(), 3));
         assert_eq!(compare(&a, &b, 5.0).notes.len(), 1);
     }
 

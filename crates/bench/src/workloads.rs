@@ -301,8 +301,8 @@ mod tests {
                 .find(|(k, _)| k == key)
                 .map_or(0, |(_, v)| *v)
         };
-        let spilled = counter("shuffle.spilled_bytes");
-        let files = counter("shuffle.spill_files");
+        let spilled = counter(gepeto_mapred::counters::builtin::SPILLED_BYTES);
+        let files = counter(gepeto_mapred::counters::builtin::SPILL_FILES);
         assert!(
             spilled > 0 && files > 0,
             "the synth tier must exercise the out-of-core shuffle, got {:?}",

@@ -4,6 +4,7 @@ use crate::args::Args;
 use gepeto::prelude::*;
 use gepeto::sanitize::Sanitizer;
 use gepeto_geo::DistanceMetric;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::journal::JournalEntry;
 use gepeto_mapred::{commit, ChaosPlan, IoFaultPlan, JobError, RetryPolicy, RunJournal};
 use gepeto_model::plt;
@@ -558,31 +559,33 @@ fn print_job(label: &str, stats: &gepeto_mapred::JobStats) {
         stats.sim.remote,
         stats.sim.shuffle_bytes,
     );
-    if stats.retries + stats.reexecuted_maps + stats.failed_over_reads + stats.blacklisted_nodes > 0
-    {
+    let c = |name| stats.counter(name);
+    let [retries, reexecuted, failed_over, blacklisted] = [
+        builtin::TASK_RETRIES,
+        builtin::REEXECUTED_MAPS,
+        builtin::FAILED_OVER_READS,
+        builtin::BLACKLISTED_NODES,
+    ]
+    .map(c);
+    if retries + reexecuted + failed_over + blacklisted > 0 {
         println!(
-            "  recovery: {} task retries | {} re-executed maps | {} failed-over reads \
-             | {} blacklisted nodes | {:.1} s burned by failed attempts",
-            stats.retries,
-            stats.reexecuted_maps,
-            stats.failed_over_reads,
-            stats.blacklisted_nodes,
+            "  recovery: {retries} task retries | {reexecuted} re-executed maps | \
+             {failed_over} failed-over reads | {blacklisted} blacklisted nodes | \
+             {:.1} s burned by failed attempts",
             stats.sim.failed_attempt_s,
         );
     }
-    if stats.io_retries
-        + stats.torn_writes_detected
-        + stats.runs_quarantined
-        + stats.journal_replayed_tasks
-        > 0
-    {
+    let [io_retries, torn, quarantined, replayed] = [
+        builtin::IO_RETRIES,
+        builtin::TORN_WRITES,
+        builtin::RUNS_QUARANTINED,
+        builtin::JOURNAL_REPLAYED,
+    ]
+    .map(c);
+    if io_retries + torn + quarantined + replayed > 0 {
         println!(
-            "  durability: {} io retries | {} torn writes detected | {} runs quarantined \
-             | {} reduce tasks replayed from artifacts",
-            stats.io_retries,
-            stats.torn_writes_detected,
-            stats.runs_quarantined,
-            stats.journal_replayed_tasks,
+            "  durability: {io_retries} io retries | {torn} torn writes detected | \
+             {quarantined} runs quarantined | {replayed} reduce tasks replayed from artifacts",
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Hadoop-style job counters: named `u64` accumulators that tasks bump
 //! concurrently and the driver reads after the job completes.
 
+use gepeto_telemetry::{metrics, Monitor};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,108 +22,22 @@ pub mod phase {
     pub const SORT: &str = "sort";
 }
 
-/// Built-in counter names used by the engine itself.
+/// Built-in counter names used by the engine itself: the names of the
+/// `gepeto-telemetry` metric table, where each is declared once with its
+/// fold rule, unit, compare gate and live Prometheus family.
 pub mod builtin {
-    /// Total intermediate bytes shuffled from mappers to reducers (same
-    /// name the telemetry summary surfaces as its shuffle line).
-    pub const SHUFFLE_BYTES: &str = gepeto_telemetry::SHUFFLE_BYTES_COUNTER;
-    /// Intermediate pairs written out by map tasks after combining —
-    /// what Hadoop would spill to local disk for the shuffle.
-    pub const SPILLED_RECORDS: &str = "mapred.spilled.records";
-    /// Records read by all map tasks.
-    pub const MAP_INPUT_RECORDS: &str = "mapred.map.input.records";
-    /// Pairs emitted by all map tasks (before combining).
-    pub const MAP_OUTPUT_RECORDS: &str = "mapred.map.output.records";
-    /// Pairs entering combiners.
-    pub const COMBINE_INPUT_RECORDS: &str = "mapred.combine.input.records";
-    /// Pairs leaving combiners (what actually shuffles).
-    pub const COMBINE_OUTPUT_RECORDS: &str = "mapred.combine.output.records";
-    /// Distinct keys presented to reduce calls.
-    pub const REDUCE_INPUT_GROUPS: &str = "mapred.reduce.input.groups";
-    /// Pairs consumed by all reduce tasks.
-    pub const REDUCE_INPUT_RECORDS: &str = "mapred.reduce.input.records";
-    /// Pairs emitted by all reduce tasks.
-    pub const REDUCE_OUTPUT_RECORDS: &str = "mapred.reduce.output.records";
-    /// Task attempts lost to (injected) failures and rescheduled.
-    pub const TASK_RETRIES: &str = gepeto_telemetry::TASK_RETRIES_COUNTER;
-    /// Completed map tasks re-executed because their node crashed and
-    /// took the locally-stored map outputs with it.
-    pub const REEXECUTED_MAPS: &str = gepeto_telemetry::REEXECUTED_MAPS_COUNTER;
-    /// Chunk reads served by a secondary replica after the preferred one
-    /// was dead or failed checksum verification.
-    pub const FAILED_OVER_READS: &str = gepeto_telemetry::FAILED_OVER_READS_COUNTER;
-    /// Nodes the jobtracker blacklisted after repeated task failures.
-    pub const BLACKLISTED_NODES: &str = gepeto_telemetry::BLACKLISTED_NODES_COUNTER;
-    /// Point-to-centroid distance evaluations performed by the clustering
-    /// kernels (the k-means inner-loop cost driver).
-    pub const DISTANCE_EVALS: &str = gepeto_telemetry::DISTANCE_EVALS_COUNTER;
-    /// Reduce partitions whose stable sort was skipped because the
-    /// reducer declared order-insensitive input (`Reducer::SORTED_INPUT
-    /// = false`).
-    pub const SORT_SKIPPED: &str = gepeto_telemetry::SORT_SKIPPED_COUNTER;
-    /// Shuffle bytes avoided by compressed payload encodings, relative to
-    /// the raw representation the job would otherwise ship.
-    pub const SHUFFLE_BYTES_SAVED: &str = gepeto_telemetry::SHUFFLE_BYTES_SAVED_COUNTER;
-    /// Intermediate bytes actually written to spill runs by
-    /// memory-bounded shuffles (encoded size, unlike the estimated
-    /// [`SPILLED_RECORDS`] Hadoop mirror above).
-    pub const SPILLED_BYTES: &str = gepeto_telemetry::SPILLED_BYTES_COUNTER;
-    /// Sorted spill runs written to local disk.
-    pub const SPILL_FILES: &str = gepeto_telemetry::SPILL_FILES_COUNTER;
-    /// Reduce groups whose value lists overflowed the memory budget and
-    /// were staged on disk until their reduce call.
-    pub const SPILLED_GROUPS: &str = gepeto_telemetry::SPILLED_GROUPS_COUNTER;
-    /// Storage operations retried after a transient injected IO fault
-    /// (EIO on write/read, or a rebuilt spill seal).
-    pub const IO_RETRIES: &str = gepeto_telemetry::IO_RETRIES_COUNTER;
-    /// Torn (partial) writes caught by commit-footer verification.
-    pub const TORN_WRITES: &str = gepeto_telemetry::TORN_WRITES_COUNTER;
-    /// Corrupt spill runs moved aside to `.quarantined` files instead of
-    /// being fed to a merge.
-    pub const RUNS_QUARANTINED: &str = gepeto_telemetry::RUNS_QUARANTINED_COUNTER;
-    /// Reduce tasks whose output was loaded from a committed artifact on
-    /// resume instead of re-executing.
-    pub const JOURNAL_REPLAYED: &str = gepeto_telemetry::JOURNAL_REPLAYED_COUNTER;
-    /// Virtual milliseconds stalled on storage: EIO retry backoff plus
-    /// simulated slow-disk write penalties, accumulated per commit.
-    pub const IO_STALL_MS: &str = gepeto_telemetry::IO_STALL_MS_COUNTER;
-    /// The configured per-task memory budget in bytes (0 = unbudgeted).
-    pub const MEM_BUDGET_BYTES: &str = gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER;
-    /// Highest buffered intermediate size the engine's own accounting
-    /// observed — the value the spill machinery compares against the
-    /// budget (max across tasks and iterations, not a sum).
-    pub const MEM_ACCOUNTED_PEAK: &str = gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER;
-    /// How far [`MEM_ACCOUNTED_PEAK`] overshot [`MEM_BUDGET_BYTES`]
-    /// (0 when the run stayed inside its budget or had none).
-    pub const MEM_PEAK_OVER_BUDGET: &str = gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER;
-    /// Tracking-allocator peak live bytes observed over the job's span
-    /// (max, not a sum).
-    pub const MEM_PEAK_BYTES: &str = gepeto_telemetry::MEM_PEAK_BYTES_COUNTER;
-    /// Tracking-allocator bytes allocated over the job's span.
-    pub const MEM_ALLOCATED_BYTES: &str = gepeto_telemetry::MEM_ALLOCATED_BYTES_COUNTER;
-    /// Tracking-allocator allocation calls over the job's span.
-    pub const MEM_ALLOCS: &str = gepeto_telemetry::MEM_ALLOCS_COUNTER;
-    /// Absolute error between the estimated buffered size that triggered
-    /// each spill and the bytes the sealed run actually wrote.
-    pub const SPILL_ESTIMATE_ERROR: &str = gepeto_telemetry::SPILL_ESTIMATE_ERROR_COUNTER;
+    pub use gepeto_telemetry::metrics::names::*;
 }
-
-/// Counters that carry a high-water mark rather than a running total:
-/// folding them across tasks, iterations or jobs must take the max, not
-/// the sum.
-pub const MAX_MERGED_COUNTERS: &[&str] = &[
-    builtin::MEM_BUDGET_BYTES,
-    builtin::MEM_ACCOUNTED_PEAK,
-    builtin::MEM_PEAK_OVER_BUDGET,
-    builtin::MEM_PEAK_BYTES,
-];
 
 /// A concurrent set of named counters. Cloning shares the underlying
 /// storage (it is an `Arc` internally), matching how every task of a job
-/// reports into the same jobtracker-side counters.
+/// reports into the same jobtracker-side counters. A set built with
+/// [`Counters::monitored`] mirrors every bump into the run's live
+/// [`Monitor`] as it happens.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     inner: Arc<Mutex<BTreeMap<String, u64>>>,
+    monitor: Option<Arc<Monitor>>,
 }
 
 impl Counters {
@@ -131,18 +46,32 @@ impl Counters {
         Self::default()
     }
 
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn inc(&self, name: &str, delta: u64) {
-        let mut map = self.inner.lock();
-        *map.entry(name.to_string()).or_insert(0) += delta;
+    /// A fresh, empty counter set whose bumps also reach `monitor`.
+    pub fn monitored(monitor: Option<Arc<Monitor>>) -> Self {
+        Self {
+            inner: Arc::default(),
+            monitor,
+        }
     }
 
-    /// Raises counter `name` to `value` if it is currently lower — the
-    /// fold for [`MAX_MERGED_COUNTERS`]-style high-water marks.
-    pub fn set_max(&self, name: &str, value: u64) {
-        let mut map = self.inner.lock();
-        let entry = map.entry(name.to_string()).or_insert(0);
-        *entry = (*entry).max(value);
+    /// Folds `value` into counter `name` (creating it at zero) by its
+    /// metric-table rule: running totals add, high-water marks such as
+    /// [`builtin::MEM_ACCOUNTED_PEAK`] keep the larger value. Names
+    /// outside the table are running totals.
+    pub fn inc(&self, name: &str, value: u64) {
+        let fold = metrics::fold_of(name);
+        {
+            let mut map = self.inner.lock();
+            match map.get_mut(name) {
+                Some(v) => *v = fold.apply(*v, value),
+                None => {
+                    map.insert(name.to_string(), value);
+                }
+            }
+        }
+        if let Some(m) = &self.monitor {
+            m.add(name, value);
+        }
     }
 
     /// Current value of `name` (0 when never incremented).
@@ -155,20 +84,11 @@ impl Counters {
         self.inner.lock().clone()
     }
 
-    /// Merges another counter set into this one: high-water marks
-    /// ([`MAX_MERGED_COUNTERS`]) fold by max, everything else by
-    /// addition.
+    /// Merges another counter set into this one, folding each name by
+    /// its table rule (as if `other`'s totals were bumped here).
     pub fn merge(&self, other: &Counters) {
-        let other_snapshot = other.snapshot();
-        let mut map = self.inner.lock();
-        for (k, v) in other_snapshot {
-            let max_merged = MAX_MERGED_COUNTERS.contains(&k.as_str());
-            let entry = map.entry(k).or_insert(0);
-            if max_merged {
-                *entry = (*entry).max(v);
-            } else {
-                *entry += v;
-            }
+        for (k, v) in other.snapshot() {
+            self.inc(&k, v);
         }
     }
 }
@@ -229,14 +149,14 @@ mod tests {
     #[test]
     fn high_water_counters_fold_by_max() {
         let a = Counters::new();
-        a.set_max(builtin::MEM_ACCOUNTED_PEAK, 100);
-        a.set_max(builtin::MEM_ACCOUNTED_PEAK, 40);
+        a.inc(builtin::MEM_ACCOUNTED_PEAK, 100);
+        a.inc(builtin::MEM_ACCOUNTED_PEAK, 40);
         assert_eq!(a.get(builtin::MEM_ACCOUNTED_PEAK), 100);
-        a.set_max(builtin::MEM_ACCOUNTED_PEAK, 250);
+        a.inc(builtin::MEM_ACCOUNTED_PEAK, 250);
         assert_eq!(a.get(builtin::MEM_ACCOUNTED_PEAK), 250);
         // merge keeps the larger watermark instead of summing.
         let b = Counters::new();
-        b.set_max(builtin::MEM_ACCOUNTED_PEAK, 120);
+        b.inc(builtin::MEM_ACCOUNTED_PEAK, 120);
         b.inc("x", 7);
         a.merge(&b);
         assert_eq!(a.get(builtin::MEM_ACCOUNTED_PEAK), 250);

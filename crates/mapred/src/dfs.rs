@@ -442,7 +442,7 @@ impl<T: Clone> Dfs<T> {
                 let mut attempt = 0u32;
                 while io.read_fault(&site, attempt).is_some() {
                     self.telemetry
-                        .count(gepeto_telemetry::IO_RETRIES_COUNTER, 1);
+                        .count(crate::counters::builtin::IO_RETRIES, 1);
                     chaos.advance(crate::commit::EIO_BACKOFF_S * f64::from(1u32 << attempt.min(6)));
                     attempt += 1;
                 }
@@ -451,7 +451,7 @@ impl<T: Clone> Dfs<T> {
             self.telemetry.observe("dfs.read.bytes", block.bytes as u64);
             if skipped > 0 {
                 self.telemetry
-                    .count(gepeto_telemetry::FAILED_OVER_READS_COUNTER, skipped as u64);
+                    .count(crate::counters::builtin::FAILED_OVER_READS, skipped as u64);
             }
             return Ok((block, n, skipped));
         }
@@ -995,7 +995,7 @@ mod tests {
         // one count; with node 0 primary on some chunks this is nonzero.
         assert!(failovers > 0);
         assert_eq!(
-            rec.counter(gepeto_telemetry::FAILED_OVER_READS_COUNTER),
+            rec.counter(crate::counters::builtin::FAILED_OVER_READS),
             failovers as u64
         );
     }

@@ -156,28 +156,16 @@ pub struct JobStats {
     pub real_elapsed: Duration,
     /// Virtual-cluster replay of the measured task times.
     pub sim: SimReport,
-    /// Task attempts lost to injected failures and rescheduled
-    /// (mirror of [`builtin::TASK_RETRIES`]).
-    pub retries: u64,
-    /// Completed map tasks re-run because their node crashed before the
-    /// map phase finished, taking its locally-stored outputs with it.
-    pub reexecuted_maps: u64,
-    /// Successful map attempts that had to skip at least one dead or
-    /// checksum-failing replica of their input chunk.
-    pub failed_over_reads: u64,
-    /// Nodes the jobtracker blacklisted after repeated task failures.
-    pub blacklisted_nodes: u64,
-    /// Injected transient IO errors absorbed by commit retry loops.
-    pub io_retries: u64,
-    /// Torn writes caught by seal-time/read-time verification.
-    pub torn_writes_detected: u64,
-    /// Spill runs quarantined (torn or corrupt) and rewritten.
-    pub runs_quarantined: u64,
-    /// Reduce partitions loaded from committed journal artifacts
-    /// instead of being recomputed on resume.
-    pub journal_replayed_tasks: u64,
     /// Final counter values.
     pub counters: BTreeMap<String, u64>,
+}
+
+impl JobStats {
+    /// The final value of counter `name` (0 when the job never bumped
+    /// it); see [`builtin`] for the engine's own counters.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
 }
 
 /// A finished job: its output pairs plus [`JobStats`].
@@ -430,9 +418,9 @@ where
     /// Runs the job to completion.
     pub fn run(self) -> Result<JobResult<R::KOut, R::VOut>, JobError> {
         let started = Instant::now();
-        let counters = Counters::new();
-        let job_ledger = LedgerScope::open();
         let monitor = self.telemetry.monitor();
+        let counters = Counters::monitored(monitor.clone());
+        let job_ledger = LedgerScope::open();
         if let Some(m) = &monitor {
             m.job_started();
         }
@@ -484,7 +472,6 @@ where
         let shuffled: u64 = partition_bytes.iter().copied().sum();
         counters.inc(builtin::SHUFFLE_BYTES, shuffled);
         if let Some(m) = &monitor {
-            m.add_shuffle_bytes(shuffled);
             m.add_reduce_tasks(partition_bytes.len() as u64);
         }
         let reduce_span = job_span.child("phase.reduce", &[]);
@@ -518,7 +505,6 @@ where
                             counters.inc(builtin::JOURNAL_REPLAYED, 1);
                             counters.inc(builtin::REDUCE_OUTPUT_RECORDS, output.len() as u64);
                             if let Some(m) = &monitor {
-                                m.add_journal_replayed(1);
                                 m.reduce_task_done();
                             }
                             self.telemetry.point(
@@ -539,9 +525,6 @@ where
                             // recompute, which recommits below.
                             commit::quarantine(&art.path, chaos);
                             counters.inc(builtin::RUNS_QUARANTINED, 1);
-                            if let Some(m) = &monitor {
-                                m.add_runs_quarantined(1);
-                            }
                         }
                     }
                 }
@@ -557,9 +540,6 @@ where
                 )) < fail.reduce_fail_prob
                 {
                     counters.inc(builtin::TASK_RETRIES, 1);
-                    if let Some(m) = &monitor {
-                        m.add_task_retry();
-                    }
                     self.telemetry.point(
                         "task.retry",
                         attempt as f64,
@@ -640,9 +620,6 @@ where
                             if let Err(e) = verify_run(run, false) {
                                 quarantine_run(run, &sp.dir, chaos);
                                 counters.inc(builtin::RUNS_QUARANTINED, 1);
-                                if let Some(m) = &monitor {
-                                    m.add_runs_quarantined(1);
-                                }
                                 return Err(JobError::Io(format!(
                                     "spill run failed verification: {e}"
                                 )));
@@ -669,9 +646,6 @@ where
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups_count);
                         if spilled_groups > 0 {
                             counters.inc(builtin::SPILLED_GROUPS, spilled_groups);
-                            if let Some(m) = &monitor {
-                                m.add_spilled_groups(spilled_groups);
-                            }
                         }
                     }
                 }
@@ -693,7 +667,7 @@ where
                         .partitions_dir()
                         .join(format!("{}-p{task_id}.part", sanitize(&self.name)));
                     let (run, seal) = seal_run_at(&d.codec, &art_path, &output, chaos)?;
-                    note_seal_stats(&seal, &counters, &monitor);
+                    note_seal_stats(&seal, &counters);
                     d.journal
                         .append(&JournalEntry::ReduceCommit {
                             job: self.name.clone(),
@@ -821,9 +795,10 @@ where
     /// Runs the job to completion.
     pub fn run(self) -> Result<JobResult<M::KOut, M::VOut>, JobError> {
         let started = Instant::now();
-        let counters = Counters::new();
+        let monitor = self.telemetry.monitor();
+        let counters = Counters::monitored(monitor.clone());
         let job_ledger = LedgerScope::open();
-        if let Some(m) = self.telemetry.monitor() {
+        if let Some(m) = &monitor {
             m.job_started();
         }
         let job_span = self
@@ -898,7 +873,7 @@ fn failed_attempt_fraction(
 /// allocator peak folds as a high-water mark, turnover adds.
 fn note_job_mem(ledger: LedgerScope, counters: &Counters) {
     let mem = ledger.close();
-    counters.set_max(builtin::MEM_PEAK_BYTES, mem.peak_bytes);
+    counters.inc(builtin::MEM_PEAK_BYTES, mem.peak_bytes);
     if mem.allocated > 0 {
         counters.inc(builtin::MEM_ALLOCATED_BYTES, mem.allocated);
         counters.inc(builtin::MEM_ALLOCS, mem.allocs);
@@ -906,12 +881,9 @@ fn note_job_mem(ledger: LedgerScope, counters: &Counters) {
 }
 
 /// Folds the sim report's recovery tallies into the job counters,
-/// mirrors everything into telemetry, and assembles the final
-/// [`JobStats`].
-///
-/// The counters are the single source of truth: the sim's recovery
-/// tallies are folded in once, and every `JobStats` mirror field is then
-/// read back from the same snapshot — the two views cannot drift.
+/// rolls the counters into the recorder's run-wide aggregates, and
+/// assembles the final [`JobStats`]. (The live monitor saw every bump as
+/// it happened.)
 fn finish_stats(
     name: String,
     map_tasks: usize,
@@ -925,35 +897,19 @@ fn finish_stats(
         (builtin::REEXECUTED_MAPS, sim.reexecuted_maps),
         (builtin::FAILED_OVER_READS, sim.failed_over_reads),
         (builtin::BLACKLISTED_NODES, sim.blacklisted_nodes),
+        (builtin::CRASH_KILLED, sim.crash_killed_attempts),
     ] {
         if tally > 0 {
             counters.inc(counter, tally as u64);
         }
     }
-    let counters_snapshot = counters.snapshot();
+    let counters = counters.snapshot();
     if telemetry.is_enabled() {
-        for (k, &v) in &counters_snapshot {
-            if crate::counters::MAX_MERGED_COUNTERS.contains(&k.as_str()) {
-                // High-water marks: raise the recorder's aggregate to
-                // this job's watermark instead of summing watermarks
-                // across jobs and iterations.
-                let cur = telemetry.counter(k);
-                if v > cur {
-                    telemetry.count(k, v - cur);
-                }
-            } else {
-                telemetry.count(k, v);
-            }
+        for (k, &v) in &counters {
+            telemetry.count(k, v);
         }
     }
-    let mirror = |name: &str| counters_snapshot.get(name).copied().unwrap_or(0);
     if let Some(m) = telemetry.monitor() {
-        // Fast-path counters accumulate per job; fold this job's totals
-        // into the cumulative live gauges (shuffle bytes and retries are
-        // already bumped in place on their hot paths).
-        m.add_distance_evals(mirror(builtin::DISTANCE_EVALS));
-        m.add_sorts_skipped(mirror(builtin::SORT_SKIPPED));
-        m.add_shuffle_bytes_saved(mirror(builtin::SHUFFLE_BYTES_SAVED));
         m.job_finished();
     }
     JobStats {
@@ -961,16 +917,8 @@ fn finish_stats(
         map_tasks,
         reduce_tasks,
         real_elapsed,
-        retries: mirror(builtin::TASK_RETRIES),
-        reexecuted_maps: mirror(builtin::REEXECUTED_MAPS),
-        failed_over_reads: mirror(builtin::FAILED_OVER_READS),
-        blacklisted_nodes: mirror(builtin::BLACKLISTED_NODES),
-        io_retries: mirror(builtin::IO_RETRIES),
-        torn_writes_detected: mirror(builtin::TORN_WRITES),
-        runs_quarantined: mirror(builtin::RUNS_QUARANTINED),
-        journal_replayed_tasks: mirror(builtin::JOURNAL_REPLAYED),
         sim,
-        counters: counters_snapshot,
+        counters,
     }
 }
 
@@ -1055,9 +1003,6 @@ where
                 < fail.map_fail_prob
             {
                 counters.inc(builtin::TASK_RETRIES, 1);
-                if let Some(m) = &monitor {
-                    m.add_task_retry();
-                }
                 telemetry.point(
                     "task.retry",
                     attempt as f64,
@@ -1237,7 +1182,6 @@ where
                         journal,
                         job_name,
                         counters,
-                        &monitor,
                         mem_bytes[p],
                     )?);
                     mem_bytes[p] = 0;
@@ -1264,7 +1208,6 @@ where
                         journal,
                         job_name,
                         counters,
-                        &monitor,
                         tail_estimate,
                     )?);
                 }
@@ -1297,14 +1240,14 @@ where
     // budgeted path can overshoot by up to one map task's bucket — the
     // granularity at which the trigger runs.
     if let Some(sp) = spill {
-        counters.set_max(builtin::MEM_BUDGET_BYTES, sp.budget as u64);
+        counters.inc(builtin::MEM_BUDGET_BYTES, sp.budget as u64);
         let over = acct_peak.saturating_sub(sp.budget as u64);
         if over > 0 {
-            counters.set_max(builtin::MEM_PEAK_OVER_BUDGET, over);
+            counters.inc(builtin::MEM_PEAK_OVER_BUDGET, over);
         }
     }
     if acct_peak > 0 {
-        counters.set_max(builtin::MEM_ACCOUNTED_PEAK, acct_peak);
+        counters.inc(builtin::MEM_ACCOUNTED_PEAK, acct_peak);
     }
     Ok(MapPhaseOutput {
         partitions,
@@ -1338,13 +1281,8 @@ fn lazy_spill_dir(
     Ok(Arc::clone(slot.as_ref().unwrap()))
 }
 
-/// Folds one seal's storage-fault tallies into the job counters and the
-/// live monitor.
-fn note_seal_stats(
-    seal: &SealStats,
-    counters: &Counters,
-    monitor: &Option<Arc<gepeto_telemetry::Monitor>>,
-) {
+/// Folds one seal's storage-fault tallies into the job counters.
+fn note_seal_stats(seal: &SealStats, counters: &Counters) {
     if seal.io_retries > 0 {
         counters.inc(builtin::IO_RETRIES, seal.io_retries);
     }
@@ -1357,17 +1295,11 @@ fn note_seal_stats(
     if seal.stall_ms > 0 {
         counters.inc(builtin::IO_STALL_MS, seal.stall_ms);
     }
-    if let Some(m) = monitor {
-        m.add_io_retries(seal.io_retries);
-        m.add_torn_writes(seal.torn_detected);
-        m.add_runs_quarantined(seal.quarantined);
-        m.add_io_stall_ms(seal.stall_ms);
-    }
 }
 
 /// Stably sorts one partition buffer, seals it as a verified spill run
 /// (absorbing injected storage faults), journals the seal on durable
-/// runs, and accounts the spill in counters and the live monitor.
+/// runs, and accounts the spill in the job counters.
 ///
 /// `estimated_bytes` is the buffered size the spill trigger believed it
 /// was flushing; its gap to the run's real encoded size accumulates in
@@ -1382,12 +1314,11 @@ fn spill_buffer<K: MrKey, V: MrValue>(
     journal: Option<&RunJournal>,
     job_name: &str,
     counters: &Counters,
-    monitor: &Option<Arc<gepeto_telemetry::Monitor>>,
     estimated_bytes: u64,
 ) -> Result<SpillRun, JobError> {
     buf.sort_by(|a, b| a.0.cmp(&b.0));
     let (run, seal) = seal_run(&spill.codec, dir, "run", buf, chaos)?;
-    note_seal_stats(&seal, counters, monitor);
+    note_seal_stats(&seal, counters);
     counters.inc(
         builtin::SPILL_ESTIMATE_ERROR,
         estimated_bytes.abs_diff(run.bytes),
@@ -1406,10 +1337,6 @@ fn spill_buffer<K: MrKey, V: MrValue>(
     buf.shrink_to_fit();
     counters.inc(builtin::SPILLED_BYTES, run.bytes);
     counters.inc(builtin::SPILL_FILES, 1);
-    if let Some(m) = monitor {
-        m.add_spilled_bytes(run.bytes);
-        m.add_spill_files(1);
-    }
     Ok(run)
 }
 
@@ -1713,12 +1640,13 @@ mod tests {
             "sealed spills must be bit-identical under fault injection"
         );
         assert!(
-            faulty.stats.io_retries + faulty.stats.torn_writes_detected > 0,
+            faulty.stats.counter(builtin::IO_RETRIES) + faulty.stats.counter(builtin::TORN_WRITES)
+                > 0,
             "fault plan must have fired at least once: {:?}",
             faulty.stats.counters
         );
         assert_eq!(
-            faulty.stats.runs_quarantined,
+            faulty.stats.counter(builtin::RUNS_QUARANTINED),
             faulty
                 .stats
                 .counters
@@ -1741,7 +1669,7 @@ mod tests {
             .durable(Arc::clone(&journal))
             .run()
             .unwrap();
-        assert_eq!(first.stats.journal_replayed_tasks, 0);
+        assert_eq!(first.stats.counter(builtin::JOURNAL_REPLAYED), 0);
         assert_eq!(journal.committed_reduces("wc").len(), 2);
 
         // A second run against the same journal (what `resume` does
@@ -1752,7 +1680,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(second.output, first.output);
-        assert_eq!(second.stats.journal_replayed_tasks, 2);
+        assert_eq!(second.stats.counter(builtin::JOURNAL_REPLAYED), 2);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 
@@ -1782,10 +1710,11 @@ mod tests {
         let second = run(&journal);
         assert_eq!(second.output, first.output);
         assert_eq!(
-            second.stats.journal_replayed_tasks, 1,
+            second.stats.counter(builtin::JOURNAL_REPLAYED),
+            1,
             "only the intact partition replays"
         );
-        assert!(second.stats.runs_quarantined >= 1);
+        assert!(second.stats.counter(builtin::RUNS_QUARANTINED) >= 1);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 
@@ -2141,8 +2070,8 @@ mod tests {
         let summary = rec.summary();
         assert!(summary.phases.iter().any(|p| p.name == "map"));
         assert_eq!(
-            summary.shuffle_bytes,
-            Some(result.stats.counters[builtin::SHUFFLE_BYTES])
+            summary.counter(builtin::SHUFFLE_BYTES),
+            result.stats.counters[builtin::SHUFFLE_BYTES]
         );
     }
 

@@ -75,47 +75,20 @@ impl PipelineReport {
         })
     }
 
-    /// Total task-attempt retries across all jobs.
-    pub fn retries(&self) -> u64 {
-        self.stages.iter().map(|s| s.retries).sum()
-    }
-
-    /// Total map tasks re-executed after node crashes across all jobs.
-    pub fn reexecuted_maps(&self) -> u64 {
-        self.stages.iter().map(|s| s.reexecuted_maps).sum()
-    }
-
-    /// Total chunk reads that failed over past a dead or corrupt replica.
-    pub fn failed_over_reads(&self) -> u64 {
-        self.stages.iter().map(|s| s.failed_over_reads).sum()
-    }
-
-    /// Total intermediate bytes spilled to disk across all jobs.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILLED_BYTES)
-    }
-
-    /// Total spill runs written across all jobs.
-    pub fn spill_files(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILL_FILES)
-    }
-
-    /// Total reduce groups spilled past the memory budget across all jobs.
-    pub fn spilled_groups(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILLED_GROUPS)
-    }
-
-    fn counter_total(&self, name: &str) -> u64 {
+    /// Counter `name` folded across every job by its metric-table rule
+    /// (running totals add, high-water marks keep the largest).
+    pub fn counter(&self, name: &str) -> u64 {
+        let fold = gepeto_telemetry::metrics::fold_of(name);
         self.stages
             .iter()
-            .map(|s| s.counters.get(name).copied().unwrap_or(0))
-            .sum()
+            .fold(0, |acc, s| fold.apply(acc, s.counter(name)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::builtin;
     use crate::sim::SimReport;
     use std::collections::BTreeMap;
 
@@ -134,15 +107,12 @@ mod tests {
                 shuffle_bytes: 100,
                 ..SimReport::default()
             },
-            retries: 1,
-            reexecuted_maps: 2,
-            failed_over_reads: 1,
-            blacklisted_nodes: 0,
-            io_retries: 0,
-            torn_writes_detected: 0,
-            runs_quarantined: 0,
-            journal_replayed_tasks: 0,
-            counters: BTreeMap::new(),
+            counters: BTreeMap::from([
+                (builtin::TASK_RETRIES.to_owned(), 1),
+                (builtin::REEXECUTED_MAPS.to_owned(), 2),
+                (builtin::FAILED_OVER_READS.to_owned(), 1),
+                (builtin::MEM_BUDGET_BYTES.to_owned(), 64),
+            ]),
         }
     }
 
@@ -167,8 +137,10 @@ mod tests {
         assert_eq!(r.locality(), (6, 2, 0));
         assert_eq!(r.real_elapsed(), Duration::from_millis(20));
         assert_eq!(r.stages()[1].name, "dedup");
-        assert_eq!(r.retries(), 2);
-        assert_eq!(r.reexecuted_maps(), 4);
-        assert_eq!(r.failed_over_reads(), 2);
+        assert_eq!(r.counter(builtin::TASK_RETRIES), 2);
+        assert_eq!(r.counter(builtin::REEXECUTED_MAPS), 4);
+        assert_eq!(r.counter(builtin::FAILED_OVER_READS), 2);
+        // A high-water mark folds by max across jobs, not by sum.
+        assert_eq!(r.counter(builtin::MEM_BUDGET_BYTES), 64);
     }
 }

@@ -57,6 +57,7 @@ mod event;
 mod flamegraph;
 mod histogram;
 pub mod json;
+pub mod metrics;
 mod monitor;
 mod summary;
 mod timeline;
@@ -71,16 +72,7 @@ pub use flamegraph::{alloc_folded, host_folded, virtual_folded};
 pub use histogram::Histogram;
 pub use json::{event_to_json, write_jsonl};
 pub use monitor::{MetricsSnapshot, Monitor, Reporter};
-pub use summary::{
-    PhaseStat, Straggler, SummaryReport, TaskStats, BLACKLISTED_NODES_COUNTER,
-    DISTANCE_EVALS_COUNTER, FAILED_OVER_READS_COUNTER, IO_RETRIES_COUNTER, IO_STALL_MS_COUNTER,
-    JOURNAL_REPLAYED_COUNTER, MEM_ACCOUNTED_PEAK_COUNTER, MEM_ALLOCATED_BYTES_COUNTER,
-    MEM_ALLOCS_COUNTER, MEM_BUDGET_BYTES_COUNTER, MEM_PEAK_BYTES_COUNTER,
-    MEM_PEAK_OVER_BUDGET_COUNTER, REEXECUTED_MAPS_COUNTER, RUNS_QUARANTINED_COUNTER,
-    SHUFFLE_BYTES_COUNTER, SHUFFLE_BYTES_SAVED_COUNTER, SORT_SKIPPED_COUNTER,
-    SPILLED_BYTES_COUNTER, SPILLED_GROUPS_COUNTER, SPILL_ESTIMATE_ERROR_COUNTER,
-    SPILL_FILES_COUNTER, TASK_RETRIES_COUNTER, TORN_WRITES_COUNTER,
-};
+pub use summary::{PhaseStat, Straggler, SummaryReport, TaskStats};
 pub use timeline::{NodeLane, Timeline};
 pub use trace_event::write_chrome_trace;
 
@@ -249,15 +241,17 @@ impl Recorder {
         }
     }
 
-    /// Bumps a monotonic counter (aggregate only — not in the event
-    /// stream, so it is safe on hot paths).
-    pub fn count(&self, name: &str, delta: u64) {
+    /// Folds `value` into the named counter by its [`metrics`] rule:
+    /// running totals add, high-water marks keep the larger value
+    /// (aggregate only — not in the event stream, so it is safe on hot
+    /// paths).
+    pub fn count(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut counters = inner.counters.lock();
             match counters.get_mut(name) {
-                Some(v) => *v += delta,
+                Some(v) => *v = metrics::fold_of(name).apply(*v, value),
                 None => {
-                    counters.insert(name.to_owned(), delta);
+                    counters.insert(name.to_owned(), value);
                 }
             }
         }
@@ -416,7 +410,10 @@ impl Drop for Span {
                 let mem = ledger.close();
                 labels.push(("mem.peak_delta".to_owned(), mem.peak_delta.to_string()));
                 labels.push(("mem.allocated".to_owned(), mem.allocated.to_string()));
-                labels.push(("mem.allocs".to_owned(), mem.allocs.to_string()));
+                labels.push((
+                    metrics::names::MEM_ALLOCS.to_owned(),
+                    mem.allocs.to_string(),
+                ));
                 if let Some(phase) = self.name.strip_prefix("phase.") {
                     // Sample the live heap into the stream (rendered as a
                     // `C` counter track by the Chrome-trace exporter) and
@@ -426,7 +423,7 @@ impl Drop for Span {
                         Event {
                             ts_us: Recorder::now_us(inner),
                             kind: EventKind::Count,
-                            name: "mem.live_bytes",
+                            name: metrics::names::MEM_LIVE_BYTES,
                             span_id: 0,
                             parent_id: 0,
                             dur_us: None,

@@ -13,6 +13,7 @@
 //! the run completes.
 
 use crate::histogram::Histogram;
+use crate::metrics::{self, names, Fold, METRICS};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 /// the reporter thread. All counter updates are relaxed atomic bumps;
 /// per-node occupancy and histograms take a short `parking_lot` lock on
 /// the (rare) task-completion path only.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Monitor {
     jobs_started: AtomicU64,
     jobs_finished: AtomicU64,
@@ -34,23 +35,8 @@ pub struct Monitor {
     map_tasks_done: AtomicU64,
     reduce_tasks_total: AtomicU64,
     reduce_tasks_done: AtomicU64,
-    shuffle_bytes: AtomicU64,
-    task_retries: AtomicU64,
-    reexecuted_maps: AtomicU64,
-    failed_over_reads: AtomicU64,
-    blacklisted_nodes: AtomicU64,
-    crash_killed_attempts: AtomicU64,
-    distance_evals: AtomicU64,
-    sorts_skipped: AtomicU64,
-    shuffle_bytes_saved: AtomicU64,
-    spilled_bytes: AtomicU64,
-    spill_files: AtomicU64,
-    spilled_groups: AtomicU64,
-    io_retries: AtomicU64,
-    torn_writes_detected: AtomicU64,
-    runs_quarantined: AtomicU64,
-    io_stall_ms: AtomicU64,
-    journal_replayed_tasks: AtomicU64,
+    /// One live slot per [`METRICS`] row, folded by the row's rule.
+    counters: Vec<AtomicU64>,
     driver_iteration: AtomicU64,
     /// The driver's latest convergence delta, stored as `f64` bits.
     driver_delta_bits: AtomicU64,
@@ -65,12 +51,30 @@ pub struct Monitor {
     run_info: Mutex<Option<(String, String)>>,
 }
 
+impl Default for Monitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Monitor {
     /// An empty registry (all zeros).
     pub fn new() -> Self {
+        let zero = || AtomicU64::new(0);
         Self {
+            jobs_started: zero(),
+            jobs_finished: zero(),
+            map_tasks_total: zero(),
+            map_tasks_done: zero(),
+            reduce_tasks_total: zero(),
+            reduce_tasks_done: zero(),
+            counters: METRICS.iter().map(|_| zero()).collect(),
+            driver_iteration: zero(),
             driver_delta_bits: AtomicU64::new(f64::NAN.to_bits()),
-            ..Self::default()
+            node_busy_us: Mutex::default(),
+            phase_peak_bytes: Mutex::default(),
+            histograms: Mutex::default(),
+            run_info: Mutex::default(),
         }
     }
 
@@ -104,100 +108,21 @@ impl Monitor {
         self.reduce_tasks_done.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `n` more bytes crossed the shuffle.
-    pub fn add_shuffle_bytes(&self, n: u64) {
-        self.shuffle_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A task attempt failed and was retried.
-    pub fn add_task_retry(&self) {
-        self.task_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` map tasks were re-executed after losing their output.
-    pub fn add_reexecuted_maps(&self, n: u64) {
-        self.reexecuted_maps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A block read failed over to a replica.
-    pub fn add_failed_over_read(&self) {
-        self.failed_over_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A node was blacklisted.
-    pub fn add_blacklisted(&self) {
-        self.blacklisted_nodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An in-flight attempt was killed by a node crash.
-    pub fn add_crash_killed(&self) {
-        self.crash_killed_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` more point-to-centroid distances were evaluated by the
-    /// clustering kernels.
-    pub fn add_distance_evals(&self, n: u64) {
-        self.distance_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` reduce partitions took the sort-skipping fast path.
-    pub fn add_sorts_skipped(&self, n: u64) {
-        self.sorts_skipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` shuffle bytes were avoided by a compressed payload encoding.
-    pub fn add_shuffle_bytes_saved(&self, n: u64) {
-        self.shuffle_bytes_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more intermediate bytes were spilled to local disk by a
-    /// memory-bounded shuffle.
-    pub fn add_spilled_bytes(&self, n: u64) {
-        self.spilled_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more sorted spill runs were written to local disk.
-    pub fn add_spill_files(&self, n: u64) {
-        self.spill_files.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more reduce groups spilled their value lists past the
-    /// per-group memory budget.
-    pub fn add_spilled_groups(&self, n: u64) {
-        self.spilled_groups.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more IO operations were retried after a transient storage
-    /// fault.
-    pub fn add_io_retries(&self, n: u64) {
-        self.io_retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more torn (partial) writes were caught by commit verification.
-    pub fn add_torn_writes(&self, n: u64) {
-        self.torn_writes_detected.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more corrupt spill runs were quarantined.
-    pub fn add_runs_quarantined(&self, n: u64) {
-        self.runs_quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more virtual milliseconds were stalled on storage (EIO
-    /// backoff, simulated slow-disk penalties).
-    pub fn add_io_stall_ms(&self, n: u64) {
-        self.io_stall_ms.fetch_add(n, Ordering::Relaxed);
+    /// Folds `value` into the live slot of the table counter `name` by
+    /// the row's rule; names outside [`METRICS`] are ignored.
+    pub fn add(&self, name: &str, value: u64) {
+        if let Some(i) = metrics::index(name) {
+            let slot = &self.counters[i];
+            match METRICS[i].fold {
+                Fold::Sum => slot.fetch_add(value, Ordering::Relaxed),
+                Fold::Max => slot.fetch_max(value, Ordering::Relaxed),
+            };
+        }
     }
 
     /// Records the run's identity for the `gepeto_run_info` family.
     pub fn set_run_info(&self, run_id: &str, command: &str) {
         *self.run_info.lock() = Some((run_id.to_owned(), command.to_owned()));
-    }
-
-    /// `n` more reduce tasks were replayed from committed artifacts
-    /// instead of re-executing.
-    pub fn add_journal_replayed(&self, n: u64) {
-        self.journal_replayed_tasks.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The iterative driver finished an iteration with this delta.
@@ -256,23 +181,7 @@ impl Monitor {
             map_tasks_done: load(&self.map_tasks_done),
             reduce_tasks_total: load(&self.reduce_tasks_total),
             reduce_tasks_done: load(&self.reduce_tasks_done),
-            shuffle_bytes: load(&self.shuffle_bytes),
-            task_retries: load(&self.task_retries),
-            reexecuted_maps: load(&self.reexecuted_maps),
-            failed_over_reads: load(&self.failed_over_reads),
-            blacklisted_nodes: load(&self.blacklisted_nodes),
-            crash_killed_attempts: load(&self.crash_killed_attempts),
-            distance_evals: load(&self.distance_evals),
-            sorts_skipped: load(&self.sorts_skipped),
-            shuffle_bytes_saved: load(&self.shuffle_bytes_saved),
-            spilled_bytes: load(&self.spilled_bytes),
-            spill_files: load(&self.spill_files),
-            spilled_groups: load(&self.spilled_groups),
-            io_retries: load(&self.io_retries),
-            torn_writes_detected: load(&self.torn_writes_detected),
-            runs_quarantined: load(&self.runs_quarantined),
-            io_stall_ms: load(&self.io_stall_ms),
-            journal_replayed_tasks: load(&self.journal_replayed_tasks),
+            counters: self.counters.iter().map(load).collect(),
             driver_iteration: load(&self.driver_iteration),
             driver_delta: f64::from_bits(load(&self.driver_delta_bits)),
             mem_live_bytes: mem.live_bytes,
@@ -327,40 +236,9 @@ pub struct MetricsSnapshot {
     pub reduce_tasks_total: u64,
     /// Reduce tasks completed so far.
     pub reduce_tasks_done: u64,
-    /// Bytes shuffled so far.
-    pub shuffle_bytes: u64,
-    /// Failure-injected task retries so far.
-    pub task_retries: u64,
-    /// Map tasks re-executed after output loss.
-    pub reexecuted_maps: u64,
-    /// Block reads failed over to a replica.
-    pub failed_over_reads: u64,
-    /// Nodes blacklisted so far.
-    pub blacklisted_nodes: u64,
-    /// Attempts killed mid-flight by node crashes.
-    pub crash_killed_attempts: u64,
-    /// Point-to-centroid distance evaluations in the clustering kernels.
-    pub distance_evals: u64,
-    /// Reduce partitions that took the sort-skipping fast path.
-    pub sorts_skipped: u64,
-    /// Shuffle bytes avoided by compressed payload encodings.
-    pub shuffle_bytes_saved: u64,
-    /// Intermediate bytes spilled to disk by memory-bounded shuffles.
-    pub spilled_bytes: u64,
-    /// Sorted spill runs written to disk by memory-bounded map tasks.
-    pub spill_files: u64,
-    /// Reduce groups whose values were spilled past the memory budget.
-    pub spilled_groups: u64,
-    /// IO operations retried after transient storage faults.
-    pub io_retries: u64,
-    /// Torn (partial) writes caught by commit verification.
-    pub torn_writes_detected: u64,
-    /// Corrupt spill runs quarantined.
-    pub runs_quarantined: u64,
-    /// Virtual milliseconds stalled on storage faults and slow disks.
-    pub io_stall_ms: u64,
-    /// Reduce tasks replayed from committed artifacts on resume.
-    pub journal_replayed_tasks: u64,
+    /// Live value of every table counter, indexed like [`METRICS`]
+    /// (read one by name with [`MetricsSnapshot::counter`]).
+    pub counters: Vec<u64>,
     /// The driver's current iteration (0 before the first completes).
     pub driver_iteration: u64,
     /// The driver's latest convergence delta (NaN before the first).
@@ -406,6 +284,11 @@ pub(crate) fn fmt_bytes(n: u64) -> String {
 }
 
 impl MetricsSnapshot {
+    /// The live value of the table counter `name` (0 outside the table).
+    pub fn counter(&self, name: &str) -> u64 {
+        metrics::index(name).map_or(0, |i| self.counters[i])
+    }
+
     /// One Hadoop-jobtracker-style heartbeat line, e.g.
     ///
     /// ```text
@@ -419,36 +302,44 @@ impl MetricsSnapshot {
                 format!("{done}/{total} {:.0}%", 100.0 * done as f64 / total as f64)
             }
         };
+        let c = |name| self.counter(name);
         let mut line = format!(
             "maps {} | reduces {} | shuffle {} | retries {} reexec {} blacklist {} killed {}",
             progress(self.map_tasks_done, self.map_tasks_total),
             progress(self.reduce_tasks_done, self.reduce_tasks_total),
-            fmt_bytes(self.shuffle_bytes),
-            self.task_retries,
-            self.reexecuted_maps,
-            self.blacklisted_nodes,
-            self.crash_killed_attempts,
+            fmt_bytes(c(names::SHUFFLE_BYTES)),
+            c(names::TASK_RETRIES),
+            c(names::REEXECUTED_MAPS),
+            c(names::BLACKLISTED_NODES),
+            c(names::CRASH_KILLED),
         );
-        if self.spilled_bytes > 0 || self.spill_files > 0 {
+        let [spilled, spill_files] = [names::SPILLED_BYTES, names::SPILL_FILES].map(c);
+        if spilled > 0 || spill_files > 0 {
             let _ = write!(
                 line,
-                " | spill {} in {} runs",
-                fmt_bytes(self.spilled_bytes),
-                self.spill_files
+                " | spill {} in {spill_files} runs",
+                fmt_bytes(spilled)
             );
         }
-        if self.io_retries > 0 || self.torn_writes_detected > 0 || self.runs_quarantined > 0 {
+        let [io_retries, torn, quarantined] = [
+            names::IO_RETRIES,
+            names::TORN_WRITES,
+            names::RUNS_QUARANTINED,
+        ]
+        .map(c);
+        if io_retries > 0 || torn > 0 || quarantined > 0 {
             let _ = write!(
                 line,
-                " | io retries {} torn {} quarantined {}",
-                self.io_retries, self.torn_writes_detected, self.runs_quarantined
+                " | io retries {io_retries} torn {torn} quarantined {quarantined}"
             );
         }
-        if self.io_stall_ms > 0 {
-            let _ = write!(line, " stall {:.1}s", self.io_stall_ms as f64 / 1e3);
+        let stall_ms = c(names::IO_STALL_MS);
+        if stall_ms > 0 {
+            let _ = write!(line, " stall {:.1}s", stall_ms as f64 / 1e3);
         }
-        if self.journal_replayed_tasks > 0 {
-            let _ = write!(line, " | replayed {}", self.journal_replayed_tasks);
+        let replayed = c(names::JOURNAL_REPLAYED);
+        if replayed > 0 {
+            let _ = write!(line, " | replayed {replayed}");
         }
         if self.mem_live_bytes > 0 || self.mem_peak_bytes > 0 {
             let _ = write!(
@@ -519,108 +410,15 @@ impl MetricsSnapshot {
             "Reduce tasks completed.",
             self.reduce_tasks_done as f64,
         );
-        metric(
-            "gepeto_shuffle_bytes_total",
-            "counter",
-            "Bytes shuffled between map and reduce.",
-            self.shuffle_bytes as f64,
-        );
-        metric(
-            "gepeto_task_retries_total",
-            "counter",
-            "Failure-injected task retries.",
-            self.task_retries as f64,
-        );
-        metric(
-            "gepeto_reexecuted_maps_total",
-            "counter",
-            "Map tasks re-executed after output loss.",
-            self.reexecuted_maps as f64,
-        );
-        metric(
-            "gepeto_failed_over_reads_total",
-            "counter",
-            "Block reads failed over to a replica.",
-            self.failed_over_reads as f64,
-        );
-        metric(
-            "gepeto_blacklisted_nodes_total",
-            "counter",
-            "Nodes blacklisted by the failure policy.",
-            self.blacklisted_nodes as f64,
-        );
-        metric(
-            "gepeto_crash_killed_attempts_total",
-            "counter",
-            "Attempts killed mid-flight by node crashes.",
-            self.crash_killed_attempts as f64,
-        );
-        metric(
-            "gepeto_kernel_distance_evals_total",
-            "counter",
-            "Point-to-centroid distance evaluations in the clustering kernels.",
-            self.distance_evals as f64,
-        );
-        metric(
-            "gepeto_shuffle_sort_skipped_total",
-            "counter",
-            "Reduce partitions that took the sort-skipping fast path.",
-            self.sorts_skipped as f64,
-        );
-        metric(
-            "gepeto_shuffle_bytes_saved_total",
-            "counter",
-            "Shuffle bytes avoided by compressed payload encodings.",
-            self.shuffle_bytes_saved as f64,
-        );
-        metric(
-            "gepeto_shuffle_spilled_bytes_total",
-            "counter",
-            "Intermediate bytes spilled to disk by memory-bounded shuffles.",
-            self.spilled_bytes as f64,
-        );
-        metric(
-            "gepeto_shuffle_spill_files_total",
-            "counter",
-            "Sorted spill runs written to disk by memory-bounded map tasks.",
-            self.spill_files as f64,
-        );
-        metric(
-            "gepeto_reduce_spilled_groups_total",
-            "counter",
-            "Reduce groups whose value lists spilled past the memory budget.",
-            self.spilled_groups as f64,
-        );
-        metric(
-            "gepeto_io_retries_total",
-            "counter",
-            "IO operations retried after transient storage faults.",
-            self.io_retries as f64,
-        );
-        metric(
-            "gepeto_io_torn_writes_detected_total",
-            "counter",
-            "Torn (partial) writes caught by commit verification.",
-            self.torn_writes_detected as f64,
-        );
-        metric(
-            "gepeto_spill_runs_quarantined_total",
-            "counter",
-            "Corrupt spill runs quarantined by verifying reads.",
-            self.runs_quarantined as f64,
-        );
-        metric(
-            "gepeto_io_stall_ms_total",
-            "counter",
-            "Virtual milliseconds stalled on storage faults and slow disks.",
-            self.io_stall_ms as f64,
-        );
-        metric(
-            "gepeto_journal_replayed_tasks_total",
-            "counter",
-            "Reduce tasks replayed from committed artifacts on resume.",
-            self.journal_replayed_tasks as f64,
-        );
+        for (m, &value) in METRICS.iter().zip(&self.counters) {
+            if let Some(family) = m.family {
+                let kind = match m.fold {
+                    Fold::Sum => "counter",
+                    Fold::Max => "gauge",
+                };
+                metric(family, kind, m.help, value as f64);
+            }
+        }
         metric(
             "gepeto_jobs_running",
             "gauge",
@@ -892,18 +690,18 @@ mod tests {
             assert!(s.map_tasks_done > last_done);
             last_done = s.map_tasks_done;
         }
-        m.add_shuffle_bytes(1_000);
-        m.add_task_retry();
-        m.add_blacklisted();
+        m.add(names::SHUFFLE_BYTES, 1_000);
+        m.add(names::TASK_RETRIES, 1);
+        m.add(names::BLACKLISTED_NODES, 1);
         m.set_driver_progress(3, 0.125);
         m.node_busy(2, 1.5);
         m.job_finished();
         let s = m.snapshot();
         assert_eq!(s.map_tasks_done, 4);
         assert_eq!(s.map_tasks_total, 4);
-        assert_eq!(s.shuffle_bytes, 1_000);
-        assert_eq!(s.task_retries, 1);
-        assert_eq!(s.blacklisted_nodes, 1);
+        assert_eq!(s.counter(names::SHUFFLE_BYTES), 1_000);
+        assert_eq!(s.counter(names::TASK_RETRIES), 1);
+        assert_eq!(s.counter(names::BLACKLISTED_NODES), 1);
         assert_eq!(s.driver_iteration, 3);
         assert_eq!(s.driver_delta, 0.125);
         assert_eq!(s.node_busy_s.len(), 3);
@@ -935,13 +733,13 @@ mod tests {
         assert!(!quiet.contains("spill"), "{quiet}");
         assert!(!quiet.contains("io retries"), "{quiet}");
         assert!(!quiet.contains("replayed"), "{quiet}");
-        m.add_spilled_bytes(65_536);
-        m.add_spill_files(3);
-        m.add_io_retries(5);
-        m.add_torn_writes(1);
-        m.add_runs_quarantined(2);
-        m.add_io_stall_ms(2_500);
-        m.add_journal_replayed(4);
+        m.add(names::SPILLED_BYTES, 65_536);
+        m.add(names::SPILL_FILES, 3);
+        m.add(names::IO_RETRIES, 5);
+        m.add(names::TORN_WRITES, 1);
+        m.add(names::RUNS_QUARANTINED, 2);
+        m.add(names::IO_STALL_MS, 2_500);
+        m.add(names::JOURNAL_REPLAYED, 4);
         let line = m.snapshot().status_line();
         assert!(line.contains("spill 65.5 KB in 3 runs"), "{line}");
         assert!(line.contains("io retries 5 torn 1 quarantined 2"), "{line}");
@@ -952,7 +750,7 @@ mod tests {
     #[test]
     fn run_info_labels_are_escaped() {
         let m = Monitor::new();
-        m.add_io_stall_ms(7);
+        m.add(names::IO_STALL_MS, 7);
         m.set_run_info("r\"1\"\n", "kmeans --run-dir C:\\tmp");
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("gepeto_io_stall_ms_total 7"), "{text}");
@@ -972,17 +770,17 @@ mod tests {
         let m = Monitor::new();
         m.add_map_tasks(2);
         m.map_task_done();
-        m.add_shuffle_bytes(4096);
-        m.add_distance_evals(7);
-        m.add_sorts_skipped(2);
-        m.add_shuffle_bytes_saved(100);
-        m.add_spilled_bytes(8192);
-        m.add_spill_files(3);
-        m.add_spilled_groups(1);
-        m.add_io_retries(5);
-        m.add_torn_writes(2);
-        m.add_runs_quarantined(1);
-        m.add_journal_replayed(4);
+        m.add(names::SHUFFLE_BYTES, 4096);
+        m.add(names::DISTANCE_EVALS, 7);
+        m.add(names::SORT_SKIPPED, 2);
+        m.add(names::SHUFFLE_BYTES_SAVED, 100);
+        m.add(names::SPILLED_BYTES, 8192);
+        m.add(names::SPILL_FILES, 3);
+        m.add(names::SPILLED_GROUPS, 1);
+        m.add(names::IO_RETRIES, 5);
+        m.add(names::TORN_WRITES, 2);
+        m.add(names::RUNS_QUARANTINED, 1);
+        m.add(names::JOURNAL_REPLAYED, 4);
         m.node_busy(0, 2.0);
         m.observe("task.map.us", 10);
         m.observe("task.map.us", 1000);

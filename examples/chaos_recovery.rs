@@ -8,6 +8,7 @@
 
 use gepeto::prelude::*;
 use gepeto_geo::DistanceMetric;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{ChaosPlan, SimParams, Topology};
 
 fn main() {
@@ -89,8 +90,8 @@ fn main() {
         };
         println!(
             "{label:<42} {makespan:>8.1} s {overhead:>9} {:>8} {:>9} {:>9}",
-            sum(|j| j.reexecuted_maps),
-            sum(|j| j.failed_over_reads),
+            sum(|j| j.counter(builtin::REEXECUTED_MAPS)),
+            sum(|j| j.counter(builtin::FAILED_OVER_READS)),
             result
                 .per_iteration
                 .iter()

@@ -173,4 +173,12 @@ test -s target/bench-smoke/kmeans.folded
 test -s target/bench-smoke/kmeans.folded.virtual
 test -s target/bench-smoke/kmeans.folded.alloc
 
+echo "== frozen benchmark: perfbench builds and its smoke tests pass =="
+# perfbench/ is the repository benchmark and builds the crates from its
+# own lockfile, so a crate API change can break it while everything
+# above stays green. Its tiny-size smoke tests must pass, and building
+# it must not rewrite any of its files (Cargo.lock included).
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+git diff --exit-code perfbench/
+
 echo "All checks passed."

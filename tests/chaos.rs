@@ -76,12 +76,15 @@ fn kmeans_survives_a_datanode_crash_bit_identically() {
         r.per_iteration.iter().map(|it| f(&it.job)).sum()
     };
     assert!(
-        total(&chaotic, |j| j.reexecuted_maps) > 0,
+        total(&chaotic, |j| j.counter(builtin::REEXECUTED_MAPS)) > 0,
         "no re-executions"
     );
-    assert!(total(&chaotic, |j| j.failed_over_reads) > 0, "no failovers");
-    assert_eq!(total(&clean, |j| j.reexecuted_maps), 0);
-    assert_eq!(total(&clean, |j| j.failed_over_reads), 0);
+    assert!(
+        total(&chaotic, |j| j.counter(builtin::FAILED_OVER_READS)) > 0,
+        "no failovers"
+    );
+    assert_eq!(total(&clean, |j| j.counter(builtin::REEXECUTED_MAPS)), 0);
+    assert_eq!(total(&clean, |j| j.counter(builtin::FAILED_OVER_READS)), 0);
     let makespan = |r: &kmeans::KMeansResult| -> f64 {
         r.per_iteration.iter().map(|it| it.job.sim.makespan_s).sum()
     };
@@ -106,16 +109,16 @@ fn single_job_crash_recovery_shows_up_in_stats_and_counters() {
     let (clean, _) = run(ChaosPlan::none());
     let (survived, stats) = run(ChaosPlan::none().crash_node(1, 1.5));
     assert_eq!(clean, survived);
-    assert!(stats.reexecuted_maps > 0);
-    assert!(stats.failed_over_reads > 0);
-    // JobStats fields mirror the builtin counters.
+    assert!(stats.counter(builtin::REEXECUTED_MAPS) > 0);
+    assert!(stats.counter(builtin::FAILED_OVER_READS) > 0);
+    // The builtin counters carry the sim report's recovery tallies.
     assert_eq!(
         stats.counters.get(builtin::REEXECUTED_MAPS).copied(),
-        Some(stats.reexecuted_maps)
+        Some(stats.sim.reexecuted_maps as u64)
     );
     assert_eq!(
         stats.counters.get(builtin::FAILED_OVER_READS).copied(),
-        Some(stats.failed_over_reads)
+        Some(stats.sim.failed_over_reads as u64)
     );
 }
 
@@ -143,8 +146,12 @@ fn corrupt_replicas_force_failover_never_a_wrong_answer() {
         .run()
         .unwrap();
     assert_eq!(clean.output, corrupt.output);
-    assert!(corrupt.stats.failed_over_reads > 0);
-    assert_eq!(corrupt.stats.reexecuted_maps, 0, "nothing crashed");
+    assert!(corrupt.stats.counter(builtin::FAILED_OVER_READS) > 0);
+    assert_eq!(
+        corrupt.stats.counter(builtin::REEXECUTED_MAPS),
+        0,
+        "nothing crashed"
+    );
 }
 
 #[test]
@@ -258,9 +265,9 @@ fn makespan_overhead_grows_with_the_number_of_crashes() {
         s1.sim.makespan_s,
         s2.sim.makespan_s
     );
-    assert_eq!(s0.reexecuted_maps, 0);
-    assert!(s1.reexecuted_maps > 0);
-    assert!(s2.reexecuted_maps >= s1.reexecuted_maps);
+    assert_eq!(s0.counter(builtin::REEXECUTED_MAPS), 0);
+    assert!(s1.counter(builtin::REEXECUTED_MAPS) > 0);
+    assert!(s2.counter(builtin::REEXECUTED_MAPS) >= s1.counter(builtin::REEXECUTED_MAPS));
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! timeline must show the crash and the recovery.
 
 use gepeto::prelude::*;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{ChaosPlan, SimParams};
 use gepeto_telemetry::Recorder;
 
@@ -42,7 +43,7 @@ fn crash_critical_path_attributes_makespan_delta_to_reexecuted_maps() {
     // invalidated (their outputs died with it) and re-executed.
     let (chaos_stats, chaos_rec) = run_sampling(ChaosPlan::none().crash_node(1, 1.5));
     assert!(
-        chaos_stats.reexecuted_maps > 0,
+        chaos_stats.counter(builtin::REEXECUTED_MAPS) > 0,
         "crash must cost re-executions"
     );
 
@@ -60,7 +61,8 @@ fn crash_critical_path_attributes_makespan_delta_to_reexecuted_maps() {
     let delta = chaotic.makespan_s - clean.makespan_s;
     assert!(delta > 0.0, "recovery must cost virtual time");
     assert_eq!(
-        chaotic.reexecuted_maps, chaos_stats.reexecuted_maps as usize,
+        chaotic.reexecuted_maps,
+        chaos_stats.counter(builtin::REEXECUTED_MAPS) as usize,
         "report and JobStats must agree on re-executed maps"
     );
     assert!(

@@ -4,6 +4,7 @@
 //! and handling failures" role, §III).
 
 use gepeto::prelude::*;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{FailurePlan, SimParams};
 
 fn dataset() -> Dataset {
@@ -117,15 +118,15 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
     let (a, clean_stats) = run(&clean);
     let (b, flaky_stats) = run(&flaky);
     assert_eq!(a, b, "failures must never change the output");
-    assert!(flaky_stats.retries > 0);
+    assert!(flaky_stats.counter(builtin::TASK_RETRIES) > 0);
     assert_eq!(
-        flaky_stats.retries,
+        flaky_stats.counter(builtin::TASK_RETRIES),
         flaky_stats
             .counters
             .get("mapred.task.retries")
             .copied()
             .unwrap_or(0),
-        "JobStats.retries must mirror the builtin counter"
+        "JobStats::counter must read the builtin counter"
     );
     assert!(
         flaky_stats.sim.failed_attempt_s > 0.0,

@@ -7,6 +7,7 @@
 //! [`CriticalPath`] wall time to within 1%.
 
 use gepeto::prelude::*;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{ChaosPlan, SimParams};
 use gepeto_telemetry::Recorder;
 
@@ -49,9 +50,12 @@ fn crash_recovery_is_visible_in_the_live_gauges() {
     let snap = monitor.snapshot();
     // The injected node-0 crash forces map re-execution; the registry
     // must have seen it, not just the post-hoc JobStats.
-    assert!(snap.reexecuted_maps > 0, "snapshot: {snap:?}");
     assert!(
-        snap.crash_killed_attempts + snap.task_retries > 0,
+        snap.counter(builtin::REEXECUTED_MAPS) > 0,
+        "snapshot: {snap:?}"
+    );
+    assert!(
+        snap.counter(builtin::CRASH_KILLED) + snap.counter(builtin::TASK_RETRIES) > 0,
         "snapshot: {snap:?}"
     );
     // All work drained: one job per iteration (plus none leaked).
@@ -59,7 +63,7 @@ fn crash_recovery_is_visible_in_the_live_gauges() {
     assert_eq!(snap.jobs_started, result.iterations as u64);
     assert_eq!(snap.map_tasks_done, snap.map_tasks_total);
     assert_eq!(snap.reduce_tasks_done, snap.reduce_tasks_total);
-    assert!(snap.shuffle_bytes > 0);
+    assert!(snap.counter(builtin::SHUFFLE_BYTES) > 0);
     // The k-means driver published its convergence state.
     assert_eq!(snap.driver_iteration, result.iterations as u64);
     assert!(snap.driver_delta.is_finite());
@@ -104,11 +108,9 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     // accounted peak is the largest partition.
     let free_rec = Recorder::enabled();
     let (free_out, free_stats) = run(None, &free_rec);
-    let free_peak = free_stats.counters[gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER];
+    let free_peak = free_stats.counters[builtin::MEM_ACCOUNTED_PEAK];
     assert!(free_peak > 0);
-    assert!(!free_stats
-        .counters
-        .contains_key(gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER));
+    assert!(!free_stats.counters.contains_key(builtin::MEM_BUDGET_BYTES));
 
     // A budget well below that peak engages spilling, which keeps the
     // buffered watermark strictly under the unbudgeted one — the
@@ -116,11 +118,8 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     let budget = (free_peak / 4).max(64) as usize;
     let rec = Recorder::enabled();
     let (out, stats) = run(Some(budget), &rec);
-    let peak = stats.counters[gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER];
-    assert_eq!(
-        stats.counters[gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER],
-        budget as u64
-    );
+    let peak = stats.counters[builtin::MEM_ACCOUNTED_PEAK];
+    assert_eq!(stats.counters[builtin::MEM_BUDGET_BYTES], budget as u64);
     assert!(
         peak < free_peak,
         "budgeted {peak} vs unbudgeted {free_peak}"
@@ -130,7 +129,7 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     // recorded as exactly peak - budget.
     let over = stats
         .counters
-        .get(gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER)
+        .get(builtin::MEM_PEAK_OVER_BUDGET)
         .copied()
         .unwrap_or(0);
     assert_eq!(over, peak.saturating_sub(budget as u64));

@@ -158,7 +158,10 @@ fn crash_mid_spill_recovers_bit_identically() {
     assert!(counter(&clean_stats, builtin::SPILL_FILES) > 0);
     assert!(counter(&chaotic_stats, builtin::SPILL_FILES) > 0);
     assert!(
-        chaotic_stats.retries + chaotic_stats.reexecuted_maps + chaotic_stats.failed_over_reads > 0,
+        chaotic_stats.counter(builtin::TASK_RETRIES)
+            + chaotic_stats.counter(builtin::REEXECUTED_MAPS)
+            + chaotic_stats.counter(builtin::FAILED_OVER_READS)
+            > 0,
         "the crash was a no-op; move it earlier"
     );
     assert_eq!(
