@@ -21,9 +21,11 @@ fn bench_djcluster(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("preprocess", window), &window, |b, _| {
             b.iter(|| {
                 let mut dfs = dfs_for(&cluster, &sampled, scaled_chunk_bytes(64));
-                let pre =
-                    djcluster::mapreduce_preprocess(&cluster, &mut dfs, "input", "clean", &cfg)
-                        .unwrap();
+                let ctx = RunCtx::default();
+                let pre = djcluster::mapreduce_preprocess(
+                    &cluster, &mut dfs, "input", "clean", &cfg, &ctx,
+                )
+                .unwrap();
                 black_box(pre.after_dedup)
             })
         });
@@ -33,19 +35,28 @@ fn bench_djcluster(c: &mut Criterion) {
     // the MapReduce-built R-tree.
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     let pre = djcluster::sequential_preprocess(&sampling::sequential_sample(&ds, &scfg), &cfg);
-    let dfs = dfs_for(&cluster, &pre, scaled_chunk_bytes(32));
+    let mut dfs = dfs_for(&cluster, &pre, scaled_chunk_bytes(32));
+    let ctx = RunCtx::default();
     group.bench_function("cluster/direct-rtree", |b| {
         b.iter(|| {
             let (clustering, _) =
-                djcluster::mapreduce_djcluster(&cluster, &dfs, "input", &cfg, None).unwrap();
+                djcluster::mapreduce_djcluster(&cluster, &mut dfs, "input", &cfg, None, &ctx)
+                    .unwrap();
             black_box(clustering.clusters.len())
         })
     });
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
     group.bench_function("cluster/mapreduce-rtree", |b| {
         b.iter(|| {
-            let (clustering, _) =
-                djcluster::mapreduce_djcluster(&cluster, &dfs, "input", &cfg, Some(&rcfg)).unwrap();
+            let (clustering, _) = djcluster::mapreduce_djcluster(
+                &cluster,
+                &mut dfs,
+                "input",
+                &cfg,
+                Some(&rcfg),
+                &ctx,
+            )
+            .unwrap();
             black_box(clustering.clusters.len())
         })
     });

@@ -9,7 +9,8 @@ use std::hint::black_box;
 fn bench_sampling(c: &mut Criterion) {
     let ds = gepeto_bench::dataset(178, 0.01);
     let cluster = parapluie();
-    let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
+    let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
+    let ctx = RunCtx::default();
 
     let mut group = c.benchmark_group("sampling");
     group.sample_size(20);
@@ -17,7 +18,8 @@ fn bench_sampling(c: &mut Criterion) {
         let cfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
         group.bench_with_input(BenchmarkId::new("mapreduce", window), &window, |b, _| {
             b.iter(|| {
-                let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+                let (out, _) =
+                    sampling::mapreduce_sample(&cluster, &mut dfs, "input", &cfg, &ctx).unwrap();
                 black_box(out.num_traces())
             })
         });
@@ -32,7 +34,8 @@ fn bench_sampling(c: &mut Criterion) {
     let cfg60 = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     group.bench_function("input-format/typed", |b| {
         b.iter(|| {
-            let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg60).unwrap();
+            let (out, _) =
+                sampling::mapreduce_sample(&cluster, &mut dfs, "input", &cfg60, &ctx).unwrap();
             black_box(out.num_traces())
         })
     });
@@ -59,7 +62,8 @@ fn bench_sampling(c: &mut Criterion) {
         let cfg = sampling::SamplingConfig::new(60, technique);
         group.bench_function(BenchmarkId::new("technique", name), |b| {
             b.iter(|| {
-                let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+                let (out, _) =
+                    sampling::mapreduce_sample(&cluster, &mut dfs, "input", &cfg, &ctx).unwrap();
                 black_box(out.num_traces())
             })
         });

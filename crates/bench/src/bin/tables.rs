@@ -67,7 +67,7 @@ fn table1() {
     let paper = [2_033_686usize, 155_260, 41_263, 23_596];
     let ds = full_dataset();
     let cluster = parapluie();
-    let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
+    let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let mut rows = vec![vec![
         "initial dataset".to_string(),
         format!("{}", ds.num_traces()),
@@ -77,7 +77,9 @@ fn table1() {
     ]];
     for (i, window) in [60i64, 300, 600].iter().enumerate() {
         let cfg = sampling::SamplingConfig::new(*window, sampling::Technique::ClosestToUpperLimit);
-        let (sampled, stats) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+        let (sampled, stats) =
+            sampling::mapreduce_sample(&cluster, &mut dfs, "input", &cfg, &RunCtx::default())
+                .unwrap();
         rows.push(vec![
             format!("{} min sampling", window / 60),
             format!("{}", sampled.num_traces()),
@@ -176,7 +178,7 @@ fn table3() {
         } else {
             full_dataset()
         };
-        let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(chunk_mb));
+        let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(chunk_mb));
         let cfg = kmeans::KMeansConfig {
             k: 11,
             distance: metric,
@@ -186,7 +188,9 @@ fn table3() {
             use_combiner: false,
             memory_budget: None,
         };
-        let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "input", &cfg).unwrap();
+        let result =
+            kmeans::mapreduce_kmeans(&cluster, &mut dfs, "input", &cfg, None, &RunCtx::default())
+                .unwrap();
         let mean_iter = result
             .per_iteration
             .iter()
@@ -233,10 +237,14 @@ fn table4() {
     for (i, window) in [60i64, 300, 600].iter().enumerate() {
         let scfg = sampling::SamplingConfig::new(*window, sampling::Technique::ClosestToUpperLimit);
         let name = format!("sampled{window}");
-        sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", &name, &scfg).unwrap();
+        let ctx = RunCtx::default();
+        let (sampled, _) =
+            sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &ctx).unwrap();
+        put_dataset(&mut dfs, &name, &sampled).unwrap();
         let cfg = djcluster::DjConfig::default();
         let out = format!("clean{window}");
-        let pre = djcluster::mapreduce_preprocess(&cluster, &mut dfs, &name, &out, &cfg).unwrap();
+        let pre =
+            djcluster::mapreduce_preprocess(&cluster, &mut dfs, &name, &out, &cfg, &ctx).unwrap();
         let (label, p_in, p_speed, p_dedup) = paper[i];
         rows.push(vec![
             label.to_string(),
@@ -311,7 +319,7 @@ fn fig4() {
     println!("\n=== Figure 4 — MapReduced k-means workflow ===");
     let ds = dataset(20, scale().min(0.02));
     let cluster = parapluie();
-    let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
+    let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
     let metric = DistanceMetric::Haversine;
     let cfg = kmeans::KMeansConfig {
         k: 8,
@@ -322,7 +330,9 @@ fn fig4() {
         use_combiner: false,
         memory_budget: None,
     };
-    let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "input", &cfg).unwrap();
+    let result =
+        kmeans::mapreduce_kmeans(&cluster, &mut dfs, "input", &cfg, None, &RunCtx::default())
+            .unwrap();
     println!("iteration | max centroid shift (m) | sim job time (s)");
     for it in &result.per_iteration {
         println!(
@@ -343,10 +353,13 @@ fn fig5() {
     let cluster = parapluie();
     let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg).unwrap();
+    let ctx = RunCtx::default();
+    let (sampled, _) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &ctx).unwrap();
+    put_dataset(&mut dfs, "sampled", &sampled).unwrap();
     let cfg = djcluster::DjConfig::default();
-    let pre =
-        djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg).unwrap();
+    let pre = djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg, &ctx)
+        .unwrap();
     for (i, stage) in pre.jobs.stages().iter().enumerate() {
         println!(
             "job {} '{}': {} map tasks, 0 reducers, sim {:.1} s",
@@ -410,11 +423,14 @@ fn djcluster_cmd() {
     let cluster = parapluie();
     let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg).unwrap();
+    let ctx = RunCtx::default();
+    let (sampled, _) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &ctx).unwrap();
+    put_dataset(&mut dfs, "sampled", &sampled).unwrap();
     let cfg = djcluster::DjConfig::default();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
     let (clustering, pre, stats) =
-        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg))
+        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg), &ctx)
             .unwrap();
     println!(
         "preprocessing: {} -> {} -> {}",
@@ -568,10 +584,11 @@ fn ablation() {
     // input to SequenceFile; our typed DFS plays that role, the text path
     // parses PLT lines inside the mappers like the paper's own jobs).
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let typed_dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
+    let mut typed_dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let t0 = std::time::Instant::now();
     let (_, typed_stats) =
-        sampling::mapreduce_sample(&cluster, &typed_dfs, "input", &scfg).unwrap();
+        sampling::mapreduce_sample(&cluster, &mut typed_dfs, "input", &scfg, &RunCtx::default())
+            .unwrap();
     let typed_real = t0.elapsed();
     let mut text_dfs = gepeto::textio::text_dfs(&cluster, scaled_chunk_bytes(64));
     gepeto::textio::put_dataset_as_text(&mut text_dfs, "input", &ds).unwrap();

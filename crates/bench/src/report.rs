@@ -278,9 +278,10 @@ impl BenchReport {
         w.finish()
     }
 
-    /// Flattens this report into the diff engine's [`RunProfile`] so
-    /// `gepeto-bench diff` (and the compare gate's failure diagnosis)
-    /// can attribute deltas between two bench artifacts.
+    /// Flattens this report into the diff engine's
+    /// [`gepeto_telemetry::RunProfile`] so `gepeto-bench diff` (and the
+    /// compare gate's failure diagnosis) can attribute deltas between
+    /// two bench artifacts.
     pub fn profile(&self, label: &str) -> gepeto_telemetry::RunProfile {
         // Host-pool activity rides along as synthetic counters so the
         // diff engine can attribute a slowdown to idling executors

@@ -91,15 +91,15 @@ pub fn run_workload(name: &str, cfg: &BenchConfig) -> Result<BenchReport, String
 
 /// Workload 1: distributed sampling, 1-minute window, closest-to-upper.
 pub fn run_sampling(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let (_ds, cluster, dfs) = cfg.setup();
+    let (_ds, cluster, mut dfs) = cfg.setup();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     let telemetry = Recorder::enabled();
+    let ctx = RunCtx::from(&telemetry);
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
-    let (_sampled, stats) =
-        sampling::mapreduce_sample_with(&cluster, &dfs, "input", &scfg, &telemetry)
-            .map_err(|e| e.to_string())?;
+    let (_sampled, stats) = sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &ctx)
+        .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
     Ok(BenchReport::from_run(
@@ -116,7 +116,7 @@ pub fn run_sampling(cfg: &BenchConfig) -> Result<BenchReport, String> {
 
 /// Workload 2: iterative k-means (k = 11, squared Euclidean).
 pub fn run_kmeans(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let (_ds, cluster, dfs) = cfg.setup();
+    let (_ds, cluster, mut dfs) = cfg.setup();
     let metric = DistanceMetric::SquaredEuclidean;
     let kcfg = kmeans::KMeansConfig {
         max_iterations: cfg.max_iterations,
@@ -125,10 +125,11 @@ pub fn run_kmeans(cfg: &BenchConfig) -> Result<BenchReport, String> {
         ..kmeans::KMeansConfig::paper(metric)
     };
     let telemetry = Recorder::enabled();
+    let ctx = RunCtx::from(&telemetry);
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
-    let result = kmeans::mapreduce_kmeans_with(&cluster, &dfs, "input", &kcfg, &telemetry)
+    let result = kmeans::mapreduce_kmeans(&cluster, &mut dfs, "input", &kcfg, None, &ctx)
         .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
@@ -157,6 +158,7 @@ pub fn run_synth(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let cluster = parapluie();
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, cfg.chunk_bytes());
     let telemetry = Recorder::enabled();
+    let ctx = RunCtx::from(&telemetry);
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
@@ -166,13 +168,14 @@ pub fn run_synth(cfg: &BenchConfig) -> Result<BenchReport, String> {
     // still exercise the spill path.
     let budget = (synth.estimated_plt_bytes() / 64).max(4 * 1024) as usize;
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let (_grouped, stats) = sampling::mapreduce_sample_by_user(
+    let (_grouped, stats) = sampling::mapreduce_sample_grouped(
         &cluster,
-        &dfs,
+        &mut dfs,
         "input",
         &scfg,
         Some(budget),
-        &telemetry,
+        None,
+        &ctx,
     )
     .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
@@ -201,16 +204,20 @@ pub fn run_djcluster(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
-    let sample_stats =
-        sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg)
+    // The sampling stage runs untraced: only the clustering pipeline's
+    // events feed the report's telemetry.
+    let (sampled, sample_stats) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &RunCtx::default())
             .map_err(|e| e.to_string())?;
-    let (_clustering, pre, stats) = djcluster::mapreduce_djcluster_full_with(
+    put_dataset(&mut dfs, "sampled", &sampled).map_err(|e| e.to_string())?;
+    let ctx = RunCtx::from(&telemetry);
+    let (_clustering, pre, stats) = djcluster::mapreduce_djcluster_full(
         &cluster,
         &mut dfs,
         "sampled",
         &dj,
         Some(&rtree_cfg),
-        &telemetry,
+        &ctx,
     )
     .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;

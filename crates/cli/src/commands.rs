@@ -82,8 +82,10 @@ Artifacts are written even when the run aborts mid-flight.
 Fault injection (sample, kmeans, djcluster): --crash N@T[,N@T...] kills
 node N at virtual second T; --degrade N@T@FACTOR[,...] slows node N by
 FACTOR from virtual second T. --driver-retries N (0) with
---retry-backoff SECS (5) makes the kmeans/djcluster drivers checkpoint
-and re-submit jobs that die, instead of propagating the error.
+--retry-backoff SECS (5) makes the drivers re-submit a job that dies
+from their last checkpoint (k-means centroids, DJ-Cluster stage
+outputs) instead of propagating the error; with --run-dir it applies
+too, and the journal is the checkpoint.
 IO fault injection: --io-faults eio=P,torn=P,bitrot=P,enospc=SIZE,
 slow=SECS_PER_MIB,streak=N,seed=X injects deterministic storage faults
 under every spill and commit; retries/quarantines surface in --summary
@@ -436,19 +438,28 @@ fn reporter_from(args: &Args, rec: &Recorder) -> Result<Option<Reporter>, String
     )))
 }
 
-/// Runs `body` under the run's observability harness: the live
-/// heartbeat/exposition reporter covers the whole run, and the
+/// Runs `body` with the drivers' [`RunCtx`] (the run's recorder plus the
+/// `--driver-retries` policy) under the run's observability harness: the
+/// live heartbeat/exposition reporter covers the whole run, and the
 /// post-hoc artifacts are emitted afterwards — even when the run
 /// itself aborts (chaos exhaustion, driver-retry failure), so a failed
 /// run still leaves its event stream and flamegraph behind.
-fn observed(args: &Args, body: impl FnOnce(&Recorder) -> Result<(), String>) -> Result<(), String> {
-    let rec = recorder_from(args);
-    let archive = start_archive(args, &rec);
-    let reporter = reporter_from(args, &rec)?;
+fn observed(
+    args: &Args,
+    retry: RetryPolicy,
+    body: impl FnOnce(&RunCtx) -> Result<(), String>,
+) -> Result<(), String> {
+    let ctx = RunCtx {
+        telemetry: recorder_from(args),
+        retry,
+    };
+    let rec = &ctx.telemetry;
+    let archive = start_archive(args, rec);
+    let reporter = reporter_from(args, rec)?;
     // A panicking driver must still leave its artifacts behind, exactly
     // like an aborting one — flush, then let `main` map the resumed
     // panic to its own exit code.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&rec)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
     if let Some(reporter) = reporter {
         reporter.stop();
     }
@@ -457,7 +468,7 @@ fn observed(args: &Args, body: impl FnOnce(&Recorder) -> Result<(), String>) -> 
     if let Some(archive) = archive {
         archive.stop();
     }
-    let artifacts = finish_metrics(args, &rec);
+    let artifacts = finish_metrics(args, rec);
     match result {
         Ok(outcome) => outcome.and(artifacts),
         Err(panic) => std::panic::resume_unwind(panic),
@@ -685,21 +696,23 @@ pub fn report(args: &Args) -> Result<(), String> {
 pub fn sample(args: &Args) -> Result<(), String> {
     let ds = dataset_from(args, 178, 0.01)?;
     let cluster = cluster_from(args)?;
-    let dfs = dfs_with(args, &cluster, &ds)?;
+    let mut dfs = dfs_with(args, &cluster, &ds)?;
     let t = args.get("technique").unwrap_or("upper");
     let technique = sampling::Technique::parse(t).ok_or(format!("unknown technique '{t}'"))?;
     let cfg = sampling::SamplingConfig::new(args.get_or("window", 60i64)?, technique);
     let budget = memory_budget_from(args)?;
+    let retry = retry_policy_from(args)?;
     let journal = run_journal_from(args, "sample")?;
-    observed(args, |rec| {
-        let (sampled, stats) = if let Some(j) = &journal {
-            sampling::mapreduce_sample_by_user_durable(
-                &cluster, &dfs, "input", &cfg, budget, j, rec,
+    observed(args, retry, |ctx| {
+        // A budget or a journal needs the reduce phase (spill codec,
+        // committed partitions); otherwise sampling is map-only.
+        let (sampled, stats) = if budget.is_some() || journal.is_some() {
+            let journal = journal.as_ref();
+            sampling::mapreduce_sample_grouped(
+                &cluster, &mut dfs, "input", &cfg, budget, journal, ctx,
             )
-        } else if budget.is_some() {
-            sampling::mapreduce_sample_by_user(&cluster, &dfs, "input", &cfg, budget, rec)
         } else {
-            sampling::mapreduce_sample_with(&cluster, &dfs, "input", &cfg, rec)
+            sampling::mapreduce_sample(&cluster, &mut dfs, "input", &cfg, ctx)
         }
         .map_err(job_failed)?;
         println!(
@@ -765,20 +778,23 @@ pub fn synth(args: &Args) -> Result<(), String> {
     );
     let budget = memory_budget_from(args)?;
     let workload = args.get("workload").unwrap_or("sampling").to_string();
+    let retry = retry_policy_from(args)?;
     let journal = run_journal_from(args, "synth")?;
-    observed(args, |rec| match workload.as_str() {
+    observed(args, retry, |ctx| match workload.as_str() {
         "sampling" => {
             let scfg = sampling::SamplingConfig::new(
                 args.get_or("window", 60i64)?,
                 sampling::Technique::ClosestToUpperLimit,
             );
-            let (sampled, stats) = if let Some(j) = &journal {
-                sampling::mapreduce_sample_by_user_durable(
-                    &cluster, &dfs, "synth", &scfg, budget, j, rec,
-                )
-            } else {
-                sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &scfg, budget, rec)
-            }
+            let (sampled, stats) = sampling::mapreduce_sample_grouped(
+                &cluster,
+                &mut dfs,
+                "synth",
+                &scfg,
+                budget,
+                journal.as_ref(),
+                ctx,
+            )
             .map_err(job_failed)?;
             println!(
                 "sampling window {} s: kept {} traces across {} users",
@@ -802,12 +818,9 @@ pub fn synth(args: &Args) -> Result<(), String> {
                 memory_budget: budget,
                 ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
             };
-            let result = if let Some(j) = &journal {
-                kmeans::mapreduce_kmeans_durable(&cluster, &dfs, "synth", &kcfg, j, rec)
-            } else {
-                kmeans::mapreduce_kmeans_with(&cluster, &dfs, "synth", &kcfg, rec)
-            }
-            .map_err(job_failed)?;
+            let result =
+                kmeans::mapreduce_kmeans(&cluster, &mut dfs, "synth", &kcfg, journal.as_ref(), ctx)
+                    .map_err(job_failed)?;
             println!(
                 "k-means: k={} converged={} after {} iterations",
                 kcfg.k, result.converged, result.iterations
@@ -829,7 +842,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
 pub fn kmeans(args: &Args) -> Result<(), String> {
     let ds = dataset_from(args, 178, 0.01)?;
     let cluster = cluster_from(args)?;
-    let dfs = dfs_with(args, &cluster, &ds)?;
+    let mut dfs = dfs_with(args, &cluster, &ds)?;
     let distance = DistanceMetric::parse(args.get("distance").unwrap_or("sqeuclidean"))
         .ok_or("unknown distance metric")?;
     let cfg = kmeans::KMeansConfig {
@@ -841,18 +854,12 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
         use_combiner: args.get_or("combiner", false)?,
         memory_budget: memory_budget_from(args)?,
     };
-    let policy = retry_policy_from(args)?;
+    let retry = retry_policy_from(args)?;
     let journal = run_journal_from(args, "kmeans")?;
-    observed(args, |rec| {
-        let result = if let Some(j) = &journal {
-            kmeans::mapreduce_kmeans_durable(&cluster, &dfs, "input", &cfg, j, rec)
-        } else if policy.max_job_retries > 0 {
-            let mut dfs = dfs;
-            kmeans::mapreduce_kmeans_checkpointed(&cluster, &mut dfs, "input", &cfg, &policy, rec)
-        } else {
-            kmeans::mapreduce_kmeans_with(&cluster, &dfs, "input", &cfg, rec)
-        }
-        .map_err(job_failed)?;
+    observed(args, retry, |ctx| {
+        let result =
+            kmeans::mapreduce_kmeans(&cluster, &mut dfs, "input", &cfg, journal.as_ref(), ctx)
+                .map_err(job_failed)?;
         println!(
             "k-means: k={} distance={} converged={} after {} iterations",
             cfg.k,
@@ -895,8 +902,14 @@ pub fn djcluster(args: &Args) -> Result<(), String> {
     // The paper clusters the *sampled* dataset; do the same.
     let window = args.get_or("window", 60i64)?;
     let scfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg)
+    let retry = retry_policy_from(args)?;
+    let untraced = RunCtx {
+        retry,
+        ..RunCtx::default()
+    };
+    let (sampled, _) = sampling::mapreduce_sample(&cluster, &mut dfs, "input", &scfg, &untraced)
         .map_err(job_failed)?;
+    gepeto::dfs_io::put_dataset(&mut dfs, "sampled", &sampled).map_err(|e| job_failed(e.into()))?;
     let cfg = djcluster::DjConfig {
         radius_m: args.get_or("radius", 60.0f64)?,
         min_pts: args.get_or("minpts", 4usize)?,
@@ -906,37 +919,20 @@ pub fn djcluster(args: &Args) -> Result<(), String> {
     let rtree_cfg = args
         .get_or("mr-rtree", true)?
         .then(gepeto::rtree_build::RTreeBuildConfig::default);
-    let policy = retry_policy_from(args)?;
-    observed(args, |rec| {
-        let (clustering, pre, stats) = if policy.max_job_retries > 0 {
-            let (clustering, pre, stats, job_retries) =
-                djcluster::mapreduce_djcluster_full_resilient(
-                    &cluster,
-                    &mut dfs,
-                    "sampled",
-                    &cfg,
-                    rtree_cfg.as_ref(),
-                    &policy,
-                    rec,
-                )
-                .map_err(job_failed)?;
-            if job_retries > 0 {
-                println!(
-                    "driver: {job_retries} whole-job re-submissions recovered from checkpoints"
-                );
-            }
-            (clustering, pre, stats)
-        } else {
-            djcluster::mapreduce_djcluster_full_with(
-                &cluster,
-                &mut dfs,
-                "sampled",
-                &cfg,
-                rtree_cfg.as_ref(),
-                rec,
-            )
-            .map_err(job_failed)?
-        };
+    observed(args, retry, |ctx| {
+        let (clustering, pre, stats) = djcluster::mapreduce_djcluster_full(
+            &cluster,
+            &mut dfs,
+            "sampled",
+            &cfg,
+            rtree_cfg.as_ref(),
+            ctx,
+        )
+        .map_err(job_failed)?;
+        let job_retries = pre.job_retries + stats.job_retries;
+        if job_retries > 0 {
+            println!("driver: {job_retries} whole-job re-submissions recovered from checkpoints");
+        }
         println!(
             "preprocessing: {} -> {} (speed filter) -> {} (dedup)",
             pre.input, pre.after_speed_filter, pre.after_dedup

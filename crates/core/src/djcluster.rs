@@ -38,12 +38,13 @@
 //! ```
 
 use crate::rtree_build::{mapreduce_build_rtree, RTreeBuildConfig};
+use crate::run::{map_traces, RunCtx};
 use gepeto_geo::distance::equirectangular_m;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobError, JobStats,
-    MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, RetryPolicy, TaskContext,
+    Cluster, Counters, Dfs, DistributedCache, Emitter, JobError, JobStats, MapReduceJob, Mapper,
+    PipelineReport, Reducer, TaskContext,
 };
 use gepeto_model::{Dataset, MobilityTrace, UserId};
 use gepeto_telemetry::Recorder;
@@ -90,6 +91,8 @@ pub struct PreprocessStats {
     pub after_dedup: usize,
     /// Engine statistics of the two pipelined jobs.
     pub jobs: PipelineReport,
+    /// Whole-job re-submissions the two jobs needed.
+    pub job_retries: u64,
 }
 
 /// A finished clustering: the clusters (each a set of traces) plus the
@@ -275,50 +278,34 @@ pub fn sequential_preprocess(dataset: &Dataset, cfg: &DjConfig) -> Dataset {
     Dataset::from_traces(kept)
 }
 
-/// Runs the two pipelined preprocessing jobs (Figure 5), writing the
-/// filtered dataset to `output` on the DFS and returning the Table IV
-/// counts.
+/// Runs the two pipelined preprocessing jobs (Figure 5) under a
+/// `djcluster.preprocess` span, writing the filtered dataset to `output`
+/// on the DFS and returning the Table IV counts. Each job runs under
+/// [`gepeto_mapred::run_with_recovery`] with `ctx.retry`; the pipeline
+/// hop itself is the checkpoint — a job death never re-runs the stage
+/// before it.
 pub fn mapreduce_preprocess(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     output: &str,
     cfg: &DjConfig,
+    ctx: &RunCtx,
 ) -> Result<PreprocessStats, JobError> {
-    mapreduce_preprocess_with(cluster, dfs, input, output, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_preprocess`] with the two pipelined jobs' telemetry
-/// captured under a `djcluster.preprocess` span.
-pub fn mapreduce_preprocess_with(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    output: &str,
-    cfg: &DjConfig,
-    telemetry: &Recorder,
-) -> Result<PreprocessStats, JobError> {
+    let telemetry = &ctx.telemetry;
     let span = telemetry.span("djcluster.preprocess", &[("input", input)]);
     let input_count = dfs.num_records(input)?;
     let mut jobs = PipelineReport::new();
 
     // Job 1: filter moving traces.
-    let job1 = MapOnlyJob::new(
-        "dj-filter-moving",
-        cluster,
-        dfs,
-        input,
-        SpeedFilterMapper {
-            threshold: cfg.speed_threshold_mps,
-            state: SpeedFilterState::default(),
-        },
-    )
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone())
-    .run()?;
-    let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
+    let speed_filter = SpeedFilterMapper {
+        threshold: cfg.speed_threshold_mps,
+        state: SpeedFilterState::default(),
+    };
+    let (stationary, stats1, r1) =
+        map_traces("dj-filter-moving", cluster, dfs, input, speed_filter, ctx)?;
     let after_speed_filter = stationary.len();
-    jobs.add(job1.stats);
+    jobs.add(stats1);
 
     // Pipeline hop: job 1's output becomes job 2's input.
     let intermediate = format!("{output}.stationary");
@@ -328,22 +315,13 @@ pub fn mapreduce_preprocess_with(
     dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
 
     // Job 2: remove redundant consecutive traces.
-    let job2 = MapOnlyJob::new(
-        "dj-dedup",
-        cluster,
-        dfs,
-        &intermediate,
-        DedupMapper {
-            threshold_m: cfg.dup_threshold_m,
-            last_kept: None,
-        },
-    )
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone())
-    .run()?;
-    let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
+    let dedup = DedupMapper {
+        threshold_m: cfg.dup_threshold_m,
+        last_kept: None,
+    };
+    let (deduped, stats2, r2) = map_traces("dj-dedup", cluster, dfs, &intermediate, dedup, ctx)?;
     let after_dedup = deduped.len();
-    jobs.add(job2.stats);
+    jobs.add(stats2);
 
     if dfs.exists(output) {
         dfs.delete(output)?;
@@ -360,101 +338,8 @@ pub fn mapreduce_preprocess_with(
         after_speed_filter,
         after_dedup,
         jobs,
+        job_retries: u64::from(r1 + r2),
     })
-}
-
-/// [`mapreduce_preprocess_with`] hardened for a faulty cluster: each of
-/// the two pipelined jobs runs under [`gepeto_mapred::run_with_recovery`]
-/// (DFS healing + virtual-time backoff between attempts). The pipeline
-/// hop itself is the checkpoint — a job death never re-runs the stage
-/// before it. Returns the stats plus the job re-submissions needed.
-pub fn mapreduce_preprocess_resilient(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    output: &str,
-    cfg: &DjConfig,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
-) -> Result<(PreprocessStats, u64), JobError> {
-    let span = telemetry.span("djcluster.preprocess", &[("input", input)]);
-    let input_count = dfs.num_records(input)?;
-    let mut jobs = PipelineReport::new();
-    let mut job_retries = 0u64;
-
-    let (job1, r1) = run_with_recovery(
-        "dj-filter-moving",
-        cluster,
-        dfs,
-        policy,
-        telemetry,
-        |name, dfs| {
-            MapOnlyJob::new(
-                name,
-                cluster,
-                dfs,
-                input,
-                SpeedFilterMapper {
-                    threshold: cfg.speed_threshold_mps,
-                    state: SpeedFilterState::default(),
-                },
-            )
-            .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
-            .run()
-        },
-    )?;
-    job_retries += r1 as u64;
-    let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
-    let after_speed_filter = stationary.len();
-    jobs.add(job1.stats);
-
-    let intermediate = format!("{output}.stationary");
-    if dfs.exists(&intermediate) {
-        dfs.delete(&intermediate)?;
-    }
-    dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
-
-    let (job2, r2) =
-        run_with_recovery("dj-dedup", cluster, dfs, policy, telemetry, |name, dfs| {
-            MapOnlyJob::new(
-                name,
-                cluster,
-                dfs,
-                &intermediate,
-                DedupMapper {
-                    threshold_m: cfg.dup_threshold_m,
-                    last_kept: None,
-                },
-            )
-            .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
-            .run()
-        })?;
-    job_retries += r2 as u64;
-    let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
-    let after_dedup = deduped.len();
-    jobs.add(job2.stats);
-
-    if dfs.exists(output) {
-        dfs.delete(output)?;
-    }
-    dfs.put_with_sizer(output, deduped, |t| t.approx_plt_bytes())?;
-    telemetry.point(
-        "djcluster.preprocessed",
-        after_dedup as f64,
-        &[("input", input)],
-    );
-    span.end();
-    Ok((
-        PreprocessStats {
-            input: input_count,
-            after_speed_filter,
-            after_dedup,
-            jobs,
-        },
-        job_retries,
-    ))
 }
 
 // ---------------------------------------------------------------------
@@ -710,111 +595,29 @@ pub struct DjClusterStats {
     pub cluster_job: JobStats,
     /// R-tree construction report (when built with MapReduce).
     pub rtree_report: Option<crate::rtree_build::RTreeBuildReport>,
+    /// Whole-job re-submissions the neighborhood+merge job needed.
+    pub job_retries: u64,
 }
 
-/// Runs DJ-Cluster phases 2–3 on an already-preprocessed `input` file.
+/// Runs DJ-Cluster phases 2–3 on an already-preprocessed `input` file,
+/// under a `djcluster.cluster` span.
 ///
 /// The R-tree over the input is built with the MapReduce pipeline of
 /// [`crate::rtree_build`] when `rtree_cfg` is given, or directly
-/// otherwise, then shipped to mappers through the distributed cache.
+/// otherwise, then shipped to mappers through the distributed cache. The
+/// neighborhood+merge job runs under [`gepeto_mapred::run_with_recovery`]
+/// with `ctx.retry`; the R-tree lives in the driver, so it survives job
+/// deaths and is not rebuilt on retry (its own build jobs take no retry
+/// policy).
 pub fn mapreduce_djcluster(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-) -> Result<(Clustering, DjClusterStats), JobError> {
-    mapreduce_djcluster_with(cluster, dfs, input, cfg, rtree_cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_djcluster`] with R-tree build and merge-job telemetry
-/// captured under a `djcluster.cluster` span.
-pub fn mapreduce_djcluster_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    telemetry: &Recorder,
-) -> Result<(Clustering, DjClusterStats), JobError> {
-    let span = telemetry.span("djcluster.cluster", &[("input", input)]);
-    let (rtree, rtree_report) = {
-        let _rtree_span = telemetry.span("djcluster.rtree", &[]);
-        match rtree_cfg {
-            Some(rc) => {
-                let (t, r) = mapreduce_build_rtree(cluster, dfs, input, rc)?;
-                (t, Some(r))
-            }
-            None => (
-                crate::rtree_build::direct_build_rtree(dfs, input, 16)?,
-                None,
-            ),
-        }
-    };
-    let traces = dfs.read(input)?;
-
-    let cache = {
-        let mut c = DistributedCache::new();
-        c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
-        c
-    };
-    let result = MapReduceJob::new(
-        "dj-cluster",
-        cluster,
-        dfs,
-        input,
-        NeighborhoodMapper {
-            radius_m: cfg.radius_m,
-            min_pts: cfg.min_pts,
-            rtree: None,
-            bytes_saved: 0,
-            counters: None,
-        },
-        MergeReducer,
-    )
-    .reducers(1) // the merge "must be done by a centralized entity"
-    .cache(cache)
-    .pair_bytes(|_, n| n.encoded_len())
-    .telemetry(telemetry.clone())
-    .run()?;
-
-    let clusters: Vec<Vec<MobilityTrace>> = result
-        .output
-        .iter()
-        .map(|(_, members)| members.iter().map(|&id| traces[id as usize]).collect())
-        .collect();
-    let clustered: usize = clusters.iter().map(Vec::len).sum();
-    let noise = traces.len() - clustered;
-    telemetry.point(
-        "djcluster.clusters",
-        clusters.len() as f64,
-        &[("noise", &noise.to_string())],
-    );
-    span.end();
-    Ok((
-        Clustering { clusters, noise },
-        DjClusterStats {
-            cluster_job: result.stats,
-            rtree_report,
-        },
-    ))
-}
-
-/// [`mapreduce_djcluster_with`] hardened for a faulty cluster: the
-/// neighborhood+merge job runs under
-/// [`gepeto_mapred::run_with_recovery`]. The R-tree lives in the driver
-/// (distributed cache), so it survives job deaths and is not rebuilt on
-/// retry. Returns the clustering, the stats and the job re-submissions
-/// needed.
-pub fn mapreduce_djcluster_resilient(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     cfg: &DjConfig,
     rtree_cfg: Option<&RTreeBuildConfig>,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
-) -> Result<(Clustering, DjClusterStats, u64), JobError> {
+    ctx: &RunCtx,
+) -> Result<(Clustering, DjClusterStats), JobError> {
+    let telemetry = &ctx.telemetry;
     let span = telemetry.span("djcluster.cluster", &[("input", input)]);
     let (rtree, rtree_report) = {
         let _rtree_span = telemetry.span("djcluster.rtree", &[]);
@@ -830,39 +633,27 @@ pub fn mapreduce_djcluster_resilient(
         }
     };
     let traces = dfs.read(input)?;
+
     let cache = {
         let mut c = DistributedCache::new();
         c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
         c
     };
-    let (result, job_retries) = run_with_recovery(
-        "dj-cluster",
-        cluster,
-        dfs,
-        policy,
-        telemetry,
-        |name, dfs| {
-            MapReduceJob::new(
-                name,
-                cluster,
-                dfs,
-                input,
-                NeighborhoodMapper {
-                    radius_m: cfg.radius_m,
-                    min_pts: cfg.min_pts,
-                    rtree: None,
-                    bytes_saved: 0,
-                    counters: None,
-                },
-                MergeReducer,
-            )
-            .reducers(1)
+    let mapper = NeighborhoodMapper {
+        radius_m: cfg.radius_m,
+        min_pts: cfg.min_pts,
+        rtree: None,
+        bytes_saved: 0,
+        counters: None,
+    };
+    let (result, job_retries) = ctx.submit("dj-cluster", cluster, dfs, |name, dfs| {
+        MapReduceJob::new(name, cluster, dfs, input, mapper.clone(), MergeReducer)
+            .reducers(1) // the merge "must be done by a centralized entity"
             .cache(cache.clone())
             .pair_bytes(|_, n| n.encoded_len())
             .telemetry(telemetry.clone())
             .run()
-        },
-    )?;
+    })?;
 
     let clusters: Vec<Vec<MobilityTrace>> = result
         .output
@@ -882,8 +673,8 @@ pub fn mapreduce_djcluster_resilient(
         DjClusterStats {
             cluster_job: result.stats,
             rtree_report,
+            job_retries: u64::from(job_retries),
         },
-        job_retries as u64,
     ))
 }
 
@@ -939,19 +730,32 @@ pub fn sequential_djcluster(traces: &[MobilityTrace], cfg: &DjConfig) -> Cluster
     }
 }
 
-/// End-to-end convenience: preprocess then cluster, returning everything.
+/// End-to-end convenience: preprocess then cluster, returning everything,
+/// with all phase timings captured under a root `djcluster` span. Both
+/// stages run under `ctx` (see [`mapreduce_preprocess`] and
+/// [`mapreduce_djcluster`]); each stage's stats count its own
+/// re-submissions.
 pub fn mapreduce_djcluster_full(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     cfg: &DjConfig,
     rtree_cfg: Option<&RTreeBuildConfig>,
+    ctx: &RunCtx,
 ) -> Result<(Clustering, PreprocessStats, DjClusterStats), JobError> {
-    mapreduce_djcluster_full_with(cluster, dfs, input, cfg, rtree_cfg, &Recorder::disabled())
+    let span = ctx.telemetry.span("djcluster", &[("input", input)]);
+    let pre_name = format!("{input}.preprocessed");
+    if dfs.exists(&pre_name) {
+        dfs.delete(&pre_name)?;
+    }
+    let pre = mapreduce_preprocess(cluster, dfs, input, &pre_name, cfg, ctx)?;
+    let (clustering, stats) = mapreduce_djcluster(cluster, dfs, &pre_name, cfg, rtree_cfg, ctx)?;
+    span.end();
+    Ok((clustering, pre, stats))
 }
 
-/// [`mapreduce_djcluster_full`] with all phase timings captured under a
-/// root `djcluster` span.
+/// [`mapreduce_djcluster_full`] with telemetry only — the signature the
+/// `perfbench/` benchmark calls.
 pub fn mapreduce_djcluster_full_with(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
@@ -960,43 +764,7 @@ pub fn mapreduce_djcluster_full_with(
     rtree_cfg: Option<&RTreeBuildConfig>,
     telemetry: &Recorder,
 ) -> Result<(Clustering, PreprocessStats, DjClusterStats), JobError> {
-    let span = telemetry.span("djcluster", &[("input", input)]);
-    let pre_name = format!("{input}.preprocessed");
-    if dfs.exists(&pre_name) {
-        dfs.delete(&pre_name)?;
-    }
-    let pre = mapreduce_preprocess_with(cluster, dfs, input, &pre_name, cfg, telemetry)?;
-    let (clustering, stats) =
-        mapreduce_djcluster_with(cluster, dfs, &pre_name, cfg, rtree_cfg, telemetry)?;
-    span.end();
-    Ok((clustering, pre, stats))
-}
-
-/// [`mapreduce_djcluster_full_with`] hardened for a faulty cluster:
-/// every stage job carries the given retry policy (see
-/// [`mapreduce_preprocess_resilient`] and
-/// [`mapreduce_djcluster_resilient`]). The final element of the result
-/// is the total number of whole-job re-submissions across all stages.
-pub fn mapreduce_djcluster_full_resilient(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
-) -> Result<(Clustering, PreprocessStats, DjClusterStats, u64), JobError> {
-    let span = telemetry.span("djcluster", &[("input", input)]);
-    let pre_name = format!("{input}.preprocessed");
-    if dfs.exists(&pre_name) {
-        dfs.delete(&pre_name)?;
-    }
-    let (pre, pre_retries) =
-        mapreduce_preprocess_resilient(cluster, dfs, input, &pre_name, cfg, policy, telemetry)?;
-    let (clustering, stats, cluster_retries) =
-        mapreduce_djcluster_resilient(cluster, dfs, &pre_name, cfg, rtree_cfg, policy, telemetry)?;
-    span.end();
-    Ok((clustering, pre, stats, pre_retries + cluster_retries))
+    mapreduce_djcluster_full(cluster, dfs, input, cfg, rtree_cfg, &telemetry.into())
 }
 
 #[cfg(test)]
@@ -1066,7 +834,8 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1 << 20);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = DjConfig::default();
-        let stats = mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg).unwrap();
+        let stats =
+            mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg, &RunCtx::default()).unwrap();
         let seq = sequential_preprocess(&ds, &cfg);
         assert_eq!(stats.input, ds.num_traces());
         assert_eq!(stats.after_dedup, seq.num_traces());
@@ -1134,7 +903,8 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1_024); // multiple chunks
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
-        let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+        let (mr, stats) =
+            mapreduce_djcluster(&cluster, &mut dfs, "pre", &cfg, None, &RunCtx::default()).unwrap();
         let seq = sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
         assert_eq!(mr.canonical_ids(), seq.canonical_ids());
         assert_eq!(mr.noise, seq.noise);
@@ -1195,7 +965,8 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1_024);
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
-        let (_, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+        let (_, stats) =
+            mapreduce_djcluster(&cluster, &mut dfs, "pre", &cfg, None, &RunCtx::default()).unwrap();
         let saved = stats.cluster_job.counters[builtin::SHUFFLE_BYTES_SAVED];
         assert!(saved > 0, "compression saved nothing");
         // The encoded shuffle plus the saving reconstructs the raw size,
@@ -1221,7 +992,15 @@ mod tests {
             partitions: 3,
             ..RTreeBuildConfig::default()
         };
-        let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, Some(&rc)).unwrap();
+        let (mr, stats) = mapreduce_djcluster(
+            &cluster,
+            &mut dfs,
+            "pre",
+            &cfg,
+            Some(&rc),
+            &RunCtx::default(),
+        )
+        .unwrap();
         let seq = sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
         assert_eq!(mr.canonical_ids(), seq.canonical_ids());
         assert!(stats.rtree_report.is_some());
@@ -1235,7 +1014,8 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1 << 16);
         put_dataset(&mut dfs, "raw", &ds).unwrap();
         let (clustering, pre, _) =
-            mapreduce_djcluster_full(&cluster, &mut dfs, "raw", &cfg, None).unwrap();
+            mapreduce_djcluster_full(&cluster, &mut dfs, "raw", &cfg, None, &RunCtx::default())
+                .unwrap();
         assert_eq!(pre.input, ds.num_traces());
         assert!(pre.after_dedup <= pre.after_speed_filter);
         assert_eq!(clustering.clusters.len(), 2);

@@ -30,11 +30,12 @@
 //! assert_eq!(result.centroids.len(), 2);
 //! ```
 
+use crate::RunCtx;
 use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobConfig, JobError,
-    JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, RetryPolicy, RunJournal, TaskContext,
+    Cluster, Counters, Dfs, DistributedCache, Emitter, JobConfig, JobError, JobStats, JournalEntry,
+    MapReduceJob, Mapper, Reducer, RunJournal, TaskContext,
 };
 use gepeto_model::{GeoPoint, MobilityTrace};
 use gepeto_telemetry::Recorder;
@@ -106,8 +107,9 @@ pub struct KMeansResult {
     pub converged: bool,
     /// Per-iteration job statistics (empty for the sequential runner).
     pub per_iteration: Vec<IterationStats>,
-    /// Whole-job re-submissions the driver needed (always 0 outside
-    /// [`mapreduce_kmeans_checkpointed`]).
+    /// Whole-job re-submissions the driver needed (0 for the sequential
+    /// runner and whenever the retry policy is
+    /// [`gepeto_mapred::RetryPolicy::none`]).
     pub job_retries: u64,
 }
 
@@ -468,102 +470,41 @@ impl Reducer<u32, PointSum> for KMeansReducer {
 
 /// Algorithm 3: the driver — one MapReduce job per iteration until
 /// convergence or `maxIter` (Figure 4's workflow).
-pub fn mapreduce_kmeans(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &KMeansConfig,
-) -> Result<KMeansResult, JobError> {
-    mapreduce_kmeans_with(cluster, dfs, input, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_kmeans`] with telemetry: the run is wrapped in a `kmeans`
-/// span, every iteration gets a `kmeans.iteration` child span, and the
-/// centroid movement is recorded as a `kmeans.shift` point — the
-/// convergence trajectory Figure 4's workflow monitors.
-pub fn mapreduce_kmeans_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &KMeansConfig,
-    telemetry: &Recorder,
-) -> Result<KMeansResult, JobError> {
-    let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
-    let init_points = sample_points(dfs, input, cfg.k, cfg.seed)?;
-    let mut centroids = init_points;
-    let mut per_iteration = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-
-    while iterations < cfg.max_iterations {
-        // `span()` (not `run_span.child()`) so the iteration enters the
-        // recorder's context stack and the iteration's job span nests
-        // under it on the critical path.
-        let iter_span = telemetry.span(
-            "kmeans.iteration",
-            &[("iter", &(iterations + 1).to_string())],
-        );
-        let (next, job) =
-            mapreduce_iteration_with(cluster, dfs, input, &centroids, cfg, telemetry)?;
-        iterations += 1;
-        let shift = max_shift(&centroids, &next, cfg.distance);
-        telemetry.point("kmeans.shift", shift, &[("iter", &iterations.to_string())]);
-        if let Some(m) = telemetry.monitor() {
-            m.set_driver_progress(iterations as u64, shift);
-        }
-        iter_span.end();
-        per_iteration.push(IterationStats {
-            iteration: iterations,
-            max_shift: shift,
-            job,
-        });
-        centroids = next;
-        if shift <= cfg.convergence_delta {
-            converged = true;
-            break;
-        }
-    }
-    run_span.end();
-    Ok(KMeansResult {
-        centroids,
-        iterations,
-        converged,
-        per_iteration,
-        job_retries: 0,
-    })
-}
-
-/// Journal label under which the durable driver checkpoints each
-/// finished iteration's centroids.
-pub const KMEANS_CHECKPOINT_LABEL: &str = "kmeans";
-
-/// Crash-safe k-means under a write-ahead [`RunJournal`]: every
-/// iteration runs as a *uniquely named* job (`kmeans-i{n:03}`) whose
-/// reduce partitions are committed into the run directory, and each
-/// finished iteration's centroids are checkpointed into the journal
-/// (bit-exact, via the IEEE-754 bit patterns). A resumed run restores
-/// the last checkpoint, skips the finished iterations entirely, and the
-/// in-flight iteration replays whatever reduce partitions it had
-/// already committed — so a SIGKILL anywhere lands on the same final
-/// centroids as an undisturbed run.
 ///
-/// Unique per-iteration job names are load-bearing: reduce artifacts
-/// are keyed by job name, so a driver that reused one name across
-/// iterations would replay a *stale* iteration's output on resume.
+/// The run is wrapped in a `kmeans` span, every iteration gets a
+/// `kmeans.iteration` child span, and the centroid movement is recorded
+/// as a `kmeans.shift` point — the convergence trajectory Figure 4's
+/// workflow monitors.
+///
+/// Each iteration's job runs under [`gepeto_mapred::run_with_recovery`]
+/// with `ctx.retry`: the loop keeps the last good centroids outside the
+/// job, so a whole-job death costs one attempt, not the run. Healing
+/// re-places replicas, hence `&mut` DFS.
+///
+/// With a `journal` the run is crash-safe: each iteration is a uniquely
+/// named job (`kmeans-i{n:03}`, else `kmeans-iteration`) whose reduce
+/// partitions are committed into the run directory, and each finished
+/// iteration's centroids are checkpointed into the journal bit-exactly.
+/// A resumed run restores the last checkpoint and the in-flight
+/// iteration replays its committed partitions, so a SIGKILL anywhere
+/// lands on the same final centroids. Unique names are load-bearing:
+/// reduce artifacts are keyed by job name, so a reused name would replay
+/// a stale iteration's output on resume.
 ///
 /// `per_iteration` holds only the iterations executed by *this*
 /// process; checkpoint-restored iterations contribute no stats.
-pub fn mapreduce_kmeans_durable(
+pub fn mapreduce_kmeans(
     cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+    dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     cfg: &KMeansConfig,
-    journal: &Arc<RunJournal>,
-    telemetry: &Recorder,
+    journal: Option<&Arc<RunJournal>>,
+    ctx: &RunCtx,
 ) -> Result<KMeansResult, JobError> {
+    let telemetry = &ctx.telemetry;
     let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
     let restored = journal
-        .last_checkpoint(KMEANS_CHECKPOINT_LABEL)
+        .and_then(|j| j.last_checkpoint(KMEANS_CHECKPOINT_LABEL))
         .and_then(|p| decode_kmeans_checkpoint(&p));
     let (mut iterations, mut converged, mut centroids) = match restored {
         Some(state) => state,
@@ -573,21 +514,25 @@ pub fn mapreduce_kmeans_durable(
         telemetry.point("kmeans.resumed", iterations as f64, &[("input", input)]);
     }
     let mut per_iteration = Vec::new();
+    let mut job_retries = 0u64;
     while !converged && iterations < cfg.max_iterations {
+        // `span()` (not `run_span.child()`) so the iteration enters the
+        // recorder's context stack and the iteration's job span nests
+        // under it on the critical path.
         let iter_span = telemetry.span(
             "kmeans.iteration",
             &[("iter", &(iterations + 1).to_string())],
         );
-        let (next, job) = mapreduce_iteration_inner(
-            &format!("kmeans-i{:03}", iterations + 1),
-            cluster,
-            dfs,
-            input,
-            &centroids,
-            cfg,
-            Some(journal),
-            telemetry,
-        )?;
+        let job_name = match journal {
+            Some(_) => format!("kmeans-i{:03}", iterations + 1),
+            None => "kmeans-iteration".to_string(),
+        };
+        let ((next, job), retries) = ctx.submit(&job_name, cluster, dfs, |name, dfs| {
+            iteration_job(
+                name, cluster, dfs, input, &centroids, cfg, journal, telemetry,
+            )
+        })?;
+        job_retries += u64::from(retries);
         iterations += 1;
         let shift = max_shift(&centroids, &next, cfg.distance);
         telemetry.point("kmeans.shift", shift, &[("iter", &iterations.to_string())]);
@@ -596,12 +541,13 @@ pub fn mapreduce_kmeans_durable(
         }
         centroids = next;
         converged = shift <= cfg.convergence_delta;
-        journal
-            .append(&JournalEntry::Checkpoint {
+        if let Some(j) = journal {
+            j.append(&JournalEntry::Checkpoint {
                 label: KMEANS_CHECKPOINT_LABEL.to_string(),
                 payload: encode_kmeans_checkpoint(iterations, converged, &centroids),
             })
             .map_err(JobError::Io)?;
+        }
         iter_span.end();
         per_iteration.push(IterationStats {
             iteration: iterations,
@@ -615,9 +561,26 @@ pub fn mapreduce_kmeans_durable(
         iterations,
         converged,
         per_iteration,
-        job_retries: 0,
+        job_retries,
     })
 }
+
+/// [`mapreduce_kmeans`] with telemetry only, over a shared DFS (run on a
+/// metadata-only clone) — the signature the `perfbench/` benchmark calls.
+pub fn mapreduce_kmeans_with(
+    cluster: &Cluster,
+    dfs: &Dfs<MobilityTrace>,
+    input: &str,
+    cfg: &KMeansConfig,
+    telemetry: &Recorder,
+) -> Result<KMeansResult, JobError> {
+    let ctx = RunCtx::from(telemetry);
+    mapreduce_kmeans(cluster, &mut dfs.clone(), input, cfg, None, &ctx)
+}
+
+/// Journal label under which [`mapreduce_kmeans`] checkpoints each
+/// finished iteration's centroids.
+pub const KMEANS_CHECKPOINT_LABEL: &str = "kmeans";
 
 /// Encodes `(iteration, converged, centroids)` as the checkpoint
 /// payload: centroid floats travel as hex bit patterns, so the decoded
@@ -649,96 +612,6 @@ fn decode_kmeans_checkpoint(payload: &str) -> Option<(usize, bool, Vec<GeoPoint>
     Some((iteration, converged, centroids))
 }
 
-/// Last-good-iteration state of a checkpointed k-means run. The driver
-/// keeps this *outside* the job, so a job death costs one iteration
-/// attempt, never the progress already made.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KMeansCheckpoint {
-    /// Iterations completed so far.
-    pub iteration: usize,
-    /// Centroids as of `iteration`.
-    pub centroids: Vec<GeoPoint>,
-}
-
-/// [`mapreduce_kmeans`] hardened for a faulty cluster: each iteration's
-/// job runs under [`gepeto_mapred::run_with_recovery`], so a whole-job
-/// death (every replica of a chunk unreadable, a task out of attempts,
-/// no live nodes) is retried from the last [`KMeansCheckpoint`] with
-/// DFS re-replication and virtual-time backoff between attempts, up to
-/// `policy.max_job_retries` per iteration. Needs `&mut` DFS because
-/// healing re-places replicas.
-///
-/// With [`RetryPolicy::none`] and a quiet chaos plan this is
-/// byte-identical to [`mapreduce_kmeans_with`]: attempt 0 keeps the
-/// plain job name and host outputs never depend on the schedule.
-pub fn mapreduce_kmeans_checkpointed(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &KMeansConfig,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
-) -> Result<KMeansResult, JobError> {
-    let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
-    let mut state = KMeansCheckpoint {
-        iteration: 0,
-        centroids: sample_points(dfs, input, cfg.k, cfg.seed)?,
-    };
-    let mut per_iteration = Vec::new();
-    let mut converged = false;
-    let mut job_retries = 0u64;
-
-    while state.iteration < cfg.max_iterations {
-        let iter_span = run_span.child(
-            "kmeans.iteration",
-            &[("iter", &(state.iteration + 1).to_string())],
-        );
-        let centroids = state.centroids.clone();
-        let ((next, job), retries) = run_with_recovery(
-            "kmeans-iteration",
-            cluster,
-            dfs,
-            policy,
-            telemetry,
-            |job_name, dfs| {
-                mapreduce_iteration_named(job_name, cluster, dfs, input, &centroids, cfg, telemetry)
-            },
-        )?;
-        job_retries += retries as u64;
-        let shift = max_shift(&state.centroids, &next, cfg.distance);
-        state = KMeansCheckpoint {
-            iteration: state.iteration + 1,
-            centroids: next,
-        };
-        telemetry.point(
-            "kmeans.shift",
-            shift,
-            &[("iter", &state.iteration.to_string())],
-        );
-        if let Some(m) = telemetry.monitor() {
-            m.set_driver_progress(state.iteration as u64, shift);
-        }
-        iter_span.end();
-        per_iteration.push(IterationStats {
-            iteration: state.iteration,
-            max_shift: shift,
-            job,
-        });
-        if shift <= cfg.convergence_delta {
-            converged = true;
-            break;
-        }
-    }
-    run_span.end();
-    Ok(KMeansResult {
-        centroids: state.centroids,
-        iterations: state.iteration,
-        converged,
-        per_iteration,
-        job_retries,
-    })
-}
-
 /// One MapReduce k-means iteration: assignment (map) + update (reduce).
 pub fn mapreduce_iteration(
     cluster: &Cluster,
@@ -747,50 +620,22 @@ pub fn mapreduce_iteration(
     centroids: &[GeoPoint],
     cfg: &KMeansConfig,
 ) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_with(cluster, dfs, input, centroids, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_iteration`] with the iteration job's telemetry captured
-/// through `telemetry`.
-pub fn mapreduce_iteration_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    centroids: &[GeoPoint],
-    cfg: &KMeansConfig,
-    telemetry: &Recorder,
-) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_named(
+    iteration_job(
         "kmeans-iteration",
         cluster,
         dfs,
         input,
         centroids,
         cfg,
-        telemetry,
+        None,
+        &Recorder::disabled(),
     )
 }
 
-/// [`mapreduce_iteration_with`] under an explicit job name — what the
-/// checkpointed driver uses to give re-submissions their `.r{n}` names.
-fn mapreduce_iteration_named(
-    job_name: &str,
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    centroids: &[GeoPoint],
-    cfg: &KMeansConfig,
-    telemetry: &Recorder,
-) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_inner(
-        job_name, cluster, dfs, input, centroids, cfg, None, telemetry,
-    )
-}
-
-/// The iteration job, optionally committing its reduce partitions into a
-/// run journal (the durable driver's path).
+/// The iteration job under `job_name`, optionally committing its reduce
+/// partitions into a run journal.
 #[allow(clippy::too_many_arguments)]
-fn mapreduce_iteration_inner(
+fn iteration_job(
     job_name: &str,
     cluster: &Cluster,
     dfs: &Dfs<MobilityTrace>,
@@ -1275,7 +1120,7 @@ mod tests {
             convergence_delta: 1e-7,
             ..cfg(DistanceMetric::SquaredEuclidean)
         };
-        let mr = mapreduce_kmeans(&cluster, &dfs, "pts", &c).unwrap();
+        let mr = mapreduce_kmeans(&cluster, &mut dfs, "pts", &c, None, &RunCtx::default()).unwrap();
         assert!(mr.converged, "did not converge in {} iters", mr.iterations);
         assert_eq!(mr.per_iteration.len(), mr.iterations);
         // Centroids land on the three blob centers.
@@ -1403,6 +1248,7 @@ mod tests {
         let cluster = Cluster::local(2, 1);
         let mut dfs = trace_dfs(&cluster, 1_024);
         dfs.put_with_sizer("empty", vec![], |_| 64).unwrap();
-        let _ = mapreduce_kmeans(&cluster, &dfs, "empty", &cfg(DistanceMetric::Euclidean));
+        let cfg = cfg(DistanceMetric::Euclidean);
+        let _ = mapreduce_kmeans(&cluster, &mut dfs, "empty", &cfg, None, &RunCtx::default());
     }
 }

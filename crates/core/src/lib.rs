@@ -52,8 +52,9 @@
 //!
 //! // …and down-sampled with a map-only MapReduce job (Figure 2).
 //! let (sampled, stats) = sampling::mapreduce_sample(
-//!     &cluster, &dfs, "geolife",
+//!     &cluster, &mut dfs, "geolife",
 //!     &sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit),
+//!     &RunCtx::default(),
 //! ).unwrap();
 //! assert!(sampled.num_traces() < dataset.num_traces());
 //! assert!(stats.map_tasks >= 1);
@@ -65,15 +66,19 @@ pub mod djcluster;
 pub mod kmeans;
 pub mod metrics;
 pub mod rtree_build;
+mod run;
 pub mod sampling;
 pub mod sanitize;
 pub mod spill_codecs;
 pub mod textio;
 pub mod viz;
 
+pub use run::RunCtx;
+
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use crate::dfs_io::{put_dataset, trace_dfs};
+    pub use crate::RunCtx;
     pub use crate::{
         attacks, djcluster, kmeans, metrics, rtree_build, sampling, sanitize, textio, viz,
     };

@@ -29,10 +29,9 @@
 //! assert_eq!(secs, vec![58, 61]); // Figure 2: latest trace per window
 //! ```
 
-use crate::dfs_io::read_dataset;
+use crate::run::{map_traces, RunCtx};
 use gepeto_mapred::{
-    Cluster, Dfs, Emitter, JobError, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer,
-    RunJournal,
+    Cluster, Dfs, Emitter, JobError, JobStats, MapReduceJob, Mapper, Reducer, RunJournal,
 };
 use gepeto_model::{Dataset, MobilityTrace, Trail, UserId};
 use gepeto_telemetry::Recorder;
@@ -212,37 +211,28 @@ impl Mapper<MobilityTrace> for SamplingMapper {
 }
 
 /// Runs sampling as a map-only MapReduce job over `input` and returns the
-/// sampled dataset plus the job statistics.
+/// sampled dataset plus the job statistics. The job's spans are captured
+/// under a `sampling` span, and a `sampling.throughput` point records the
+/// end-to-end records/second — the number Table I's per-window rows
+/// normalize against. The job runs under
+/// [`gepeto_mapred::run_with_recovery`] with `ctx.retry`.
 pub fn mapreduce_sample(
     cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+    dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     cfg: &SamplingConfig,
+    ctx: &RunCtx,
 ) -> Result<(Dataset, JobStats), JobError> {
-    mapreduce_sample_with(cluster, dfs, input, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_sample`] with telemetry: the job's spans are captured, and
-/// a `sampling.throughput` point records the end-to-end records/second —
-/// the number Table I's per-window rows normalize against.
-pub fn mapreduce_sample_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
+    let telemetry = &ctx.telemetry;
     let span = telemetry.span(
         "sampling",
         &[("input", input), ("window", &cfg.window_secs.to_string())],
     );
-    let result = MapOnlyJob::new("sampling", cluster, dfs, input, SamplingMapper::new(*cfg))
-        .pair_bytes(|_, t| t.approx_plt_bytes())
-        .telemetry(telemetry.clone())
-        .run()?;
+    let mapper = SamplingMapper::new(*cfg);
+    let (traces, stats, _) = map_traces("sampling", cluster, dfs, input, mapper, ctx)?;
     span.end();
     let input_records = dfs.num_records(input)? as f64;
-    let elapsed = result.stats.real_elapsed.as_secs_f64();
+    let elapsed = stats.real_elapsed.as_secs_f64();
     if elapsed > 0.0 {
         telemetry.point(
             "sampling.throughput",
@@ -250,8 +240,19 @@ pub fn mapreduce_sample_with(
             &[("input", input)],
         );
     }
-    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
-    Ok((dataset, result.stats))
+    Ok((Dataset::from_traces(traces), stats))
+}
+
+/// [`mapreduce_sample`] with telemetry only, over a shared DFS (run on a
+/// metadata-only clone) — the signature the `perfbench/` benchmark calls.
+pub fn mapreduce_sample_with(
+    cluster: &Cluster,
+    dfs: &Dfs<MobilityTrace>,
+    input: &str,
+    cfg: &SamplingConfig,
+    telemetry: &Recorder,
+) -> Result<(Dataset, JobStats), JobError> {
+    mapreduce_sample(cluster, &mut dfs.clone(), input, cfg, &telemetry.into())
 }
 
 /// Identity reducer that regroups sampled traces per user — the
@@ -283,6 +284,50 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
 /// the explicit `memory_budget` argument or the `mapred.memory.budget`
 /// config key — makes the shuffle spill to disk instead of holding every
 /// intermediate pair in memory.
+///
+/// Under a write-ahead [`RunJournal`] every reduce partition's output is
+/// committed into the run directory, so a killed run resumed against the
+/// same journal replays the committed partitions from disk instead of
+/// re-shuffling them — bit-identically. The job runs under
+/// [`gepeto_mapred::run_with_recovery`] with `ctx.retry`.
+pub fn mapreduce_sample_grouped(
+    cluster: &Cluster,
+    dfs: &mut Dfs<MobilityTrace>,
+    input: &str,
+    cfg: &SamplingConfig,
+    memory_budget: Option<usize>,
+    journal: Option<&Arc<RunJournal>>,
+    ctx: &RunCtx,
+) -> Result<(Dataset, JobStats), JobError> {
+    let telemetry = &ctx.telemetry;
+    let span = telemetry.span(
+        "sampling-by-user",
+        &[("input", input), ("window", &cfg.window_secs.to_string())],
+    );
+    let codec = crate::spill_codecs::trace_codec();
+    let (result, _) = ctx.submit("sampling-by-user", cluster, dfs, |name, dfs| {
+        let mapper = SamplingMapper::new(*cfg);
+        let job = MapReduceJob::new(name, cluster, dfs, input, mapper, RegroupReducer)
+            .reducers(cluster.topology.num_nodes())
+            .pair_bytes(|_, t| t.approx_plt_bytes())
+            .telemetry(telemetry.clone());
+        let job = match memory_budget {
+            Some(bytes) => job.memory_budget_with(bytes, codec.clone()),
+            None => job.spill_codec(codec.clone()),
+        };
+        match journal {
+            Some(j) => job.durable_with(j.clone(), codec.clone()).run(),
+            None => job.run(),
+        }
+    })?;
+    span.end();
+    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
+    Ok((dataset, result.stats))
+}
+
+/// [`mapreduce_sample_grouped`] without a journal, with telemetry only,
+/// over a shared DFS (run on a metadata-only clone) — the signature the
+/// `perfbench/` benchmark calls.
 pub fn mapreduce_sample_by_user(
     cluster: &Cluster,
     dfs: &Dfs<MobilityTrace>,
@@ -291,85 +336,8 @@ pub fn mapreduce_sample_by_user(
     memory_budget: Option<usize>,
     telemetry: &Recorder,
 ) -> Result<(Dataset, JobStats), JobError> {
-    sample_by_user_inner(cluster, dfs, input, cfg, memory_budget, None, telemetry)
-}
-
-/// [`mapreduce_sample_by_user`] under a write-ahead [`RunJournal`]: every
-/// reduce partition's output is committed into the run directory, so a
-/// killed run resumed against the same journal replays the committed
-/// partitions from disk instead of re-shuffling them — bit-identically.
-pub fn mapreduce_sample_by_user_durable(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-    memory_budget: Option<usize>,
-    journal: &Arc<RunJournal>,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
-    sample_by_user_inner(
-        cluster,
-        dfs,
-        input,
-        cfg,
-        memory_budget,
-        Some(journal),
-        telemetry,
-    )
-}
-
-fn sample_by_user_inner(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-    memory_budget: Option<usize>,
-    journal: Option<&Arc<RunJournal>>,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
-    let span = telemetry.span(
-        "sampling-by-user",
-        &[("input", input), ("window", &cfg.window_secs.to_string())],
-    );
-    let codec = crate::spill_codecs::trace_codec();
-    let job = MapReduceJob::new(
-        "sampling-by-user",
-        cluster,
-        dfs,
-        input,
-        SamplingMapper::new(*cfg),
-        RegroupReducer,
-    )
-    .reducers(cluster.topology.num_nodes())
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone());
-    let job = match memory_budget {
-        Some(bytes) => job.memory_budget_with(bytes, codec.clone()),
-        None => job.spill_codec(codec.clone()),
-    };
-    let job = match journal {
-        Some(j) => job.durable_with(j.clone(), codec),
-        None => job,
-    };
-    let result = job.run()?;
-    span.end();
-    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
-    Ok((dataset, result.stats))
-}
-
-/// Convenience: MapReduce-samples `input` and writes the result back to
-/// the DFS under `output` (the paper's jobs read and write HDFS folders).
-pub fn mapreduce_sample_to_dfs(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    output: &str,
-    cfg: &SamplingConfig,
-) -> Result<JobStats, JobError> {
-    let (dataset, stats) = mapreduce_sample(cluster, dfs, input, cfg)?;
-    dfs.put_with_sizer(output, dataset.to_traces(), |t| t.approx_plt_bytes())?;
-    let _ = read_dataset(dfs, output); // sanity: output is readable
-    Ok(stats)
+    let (mut dfs, ctx) = (dfs.clone(), RunCtx::from(telemetry));
+    mapreduce_sample_grouped(cluster, &mut dfs, input, cfg, memory_budget, None, &ctx)
 }
 
 #[cfg(test)]
@@ -469,7 +437,8 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1 << 20); // everything in one chunk
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (mr, stats) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, stats) =
+            mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap();
         assert_eq!(stats.map_tasks, 1);
         assert_eq!(mr, sequential_sample(&ds, &cfg));
     }
@@ -484,7 +453,7 @@ mod tests {
         let chunks = dfs.num_blocks("d").unwrap();
         assert!(chunks > 10);
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (mr, _) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, _) = mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap();
         let seq = sequential_sample(&ds, &cfg);
         // Each chunk boundary can split at most one window in two.
         let diff = mr.num_traces() as i64 - seq.num_traces() as i64;
@@ -501,7 +470,9 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1 << 16);
         put_dataset(&mut dfs, "in", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToMiddle);
-        let stats = mapreduce_sample_to_dfs(&cluster, &mut dfs, "in", "out", &cfg).unwrap();
+        let (sampled, stats) =
+            mapreduce_sample(&cluster, &mut dfs, "in", &cfg, &RunCtx::default()).unwrap();
+        put_dataset(&mut dfs, "out", &sampled).unwrap();
         assert!(dfs.exists("out"));
         assert!(stats.map_tasks >= 1);
         assert!(dfs.num_records("out").unwrap() < 100);
@@ -515,9 +486,11 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 4_096);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (map_only, _) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
-        let rec = gepeto_telemetry::Recorder::disabled();
-        let (grouped, _) = mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, None, &rec).unwrap();
+        let (map_only, _) =
+            mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap();
+        let ctx = RunCtx::default();
+        let (grouped, _) =
+            mapreduce_sample_grouped(&cluster, &mut dfs, "d", &cfg, None, None, &ctx).unwrap();
         assert_eq!(grouped, map_only);
     }
 
@@ -529,11 +502,11 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 4_096);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let rec = gepeto_telemetry::Recorder::disabled();
+        let ctx = RunCtx::default();
         let (unbounded, base) =
-            mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, None, &rec).unwrap();
+            mapreduce_sample_grouped(&cluster, &mut dfs, "d", &cfg, None, None, &ctx).unwrap();
         let (spilled, stats) =
-            mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, Some(1), &rec).unwrap();
+            mapreduce_sample_grouped(&cluster, &mut dfs, "d", &cfg, Some(1), None, &ctx).unwrap();
         assert_eq!(spilled, unbounded);
         use gepeto_mapred::counters::builtin;
         assert!(

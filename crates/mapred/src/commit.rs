@@ -79,7 +79,7 @@ pub struct CommitReceipt {
     pub stall_ms: u64,
 }
 
-/// FNV-1a over raw bytes (byte-stream flavor of [`crate::fnv_hash`]).
+/// FNV-1a over raw bytes (byte-stream flavor of [`crate::hash::fnv_hash`]).
 pub fn fnv_bytes(payload: &[u8]) -> u64 {
     let mut h = FnvHasher::default();
     h.write(payload);

@@ -267,22 +267,28 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Inverse of [`escape`]. `%XX` escapes decode into a byte buffer and
+/// the bytes become a string as UTF-8, so multi-byte characters (which
+/// `escape` passes through unescaped) come back intact.
 fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
     let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
+        if bytes[i] == b'%' {
+            let hex = bytes
+                .get(i + 1..i + 3)
+                .and_then(|h| std::str::from_utf8(h).ok());
+            if let Some(v) = hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
+                out.push(v);
                 i += 3;
                 continue;
             }
         }
-        out.push(bytes[i] as char);
+        out.push(bytes[i]);
         i += 1;
     }
-    out
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// A committed reduce artifact recovered from the journal.
@@ -598,6 +604,30 @@ mod tests {
             j.committed_reduces("j")[&0].path,
             PathBuf::from("p0-v1.part")
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_ascii_percent_and_space_round_trip() {
+        let dir = scratch("utf8");
+        let j = RunJournal::attach(&dir).unwrap();
+        let entries = vec![
+            JournalEntry::ReduceCommit {
+                job: "kmeans-i001".into(),
+                partition: 0,
+                path: "/tmp/résumé 100%/partitions/p0 ünï ✓".into(),
+                records: 3,
+                checksum: 5,
+            },
+            JournalEntry::Checkpoint {
+                label: "k-means été".into(),
+                payload: "1 0 %41 données 東京".into(),
+            },
+        ];
+        for e in &entries {
+            j.append(e).unwrap();
+        }
+        assert_eq!(j.entries(), entries);
         let _ = fs::remove_dir_all(&dir);
     }
 }

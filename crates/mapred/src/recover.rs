@@ -4,11 +4,15 @@
 //! The engine's jobtracker already retries individual *task* attempts;
 //! this module is the layer above it — what a driver does when an entire
 //! job dies (every replica of a chunk unreadable, a task out of
-//! attempts, the cluster out of live nodes). Iterative drivers
-//! (`mapreduce_kmeans`, DJ-Cluster) keep their loop state *outside* the
-//! job, so a failed job costs one attempt, not the whole computation:
-//! they wrap each iteration's job in [`run_with_recovery`] and resume
-//! from the last good checkpoint.
+//! attempts, the cluster out of live nodes). Every workload driver in
+//! `gepeto` (sampling, k-means, each DJ-Cluster stage) submits each of
+//! its jobs through [`run_with_recovery`] under the retry policy of its
+//! run context. The drivers keep their state *outside* the job — the
+//! k-means loop its last good centroids (checkpointed into the run
+//! journal when there is one), DJ-Cluster the previous stage's output
+//! file — so a failed job costs one attempt, not the whole computation.
+//! With [`RetryPolicy::none`] the helper is a single attempt under the
+//! bare job name.
 //!
 //! Between attempts the helper:
 //!

@@ -414,7 +414,7 @@ const MAX_SEAL_REBUILDS: u32 = 4;
 ///
 /// # Errors
 /// [`CommitError::DiskFull`] / [`CommitError::Io`] when the disk is out
-/// of space, real IO fails, or rebuilds exceed [`MAX_SEAL_REBUILDS`].
+/// of space, real IO fails, or rebuilds exceed `MAX_SEAL_REBUILDS` (4).
 pub fn seal_run<K, V>(
     codec: &SpillCodec<K, V>,
     dir: &SpillDir,

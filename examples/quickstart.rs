@@ -36,7 +36,9 @@ fn main() {
     // 3. Down-sampling as a map-only job (Figure 2: closest to the upper
     //    limit of each 1-minute window).
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let (sampled, stats) = sampling::mapreduce_sample(&cluster, &dfs, "geolife", &scfg).unwrap();
+    let ctx = RunCtx::default();
+    let (sampled, stats) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "geolife", &scfg, &ctx).unwrap();
     println!(
         "\n== sampling ==\n{} -> {} traces in {} map tasks ({:?} real)",
         dataset.num_traces(),
@@ -52,7 +54,7 @@ fn main() {
         max_iterations: 40,
         ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
     };
-    let km = kmeans::mapreduce_kmeans(&cluster, &dfs, "geolife", &kcfg).unwrap();
+    let km = kmeans::mapreduce_kmeans(&cluster, &mut dfs, "geolife", &kcfg, None, &ctx).unwrap();
     println!(
         "\n== k-means ==\nk={} converged={} after {} iterations",
         kcfg.k, km.converged, km.iterations
@@ -72,6 +74,7 @@ fn main() {
         "sampled",
         &djcfg,
         Some(&rtree_cfg),
+        &ctx,
     )
     .unwrap();
     println!(

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Clippy does not resolve intra-doc links; rustdoc does. --lib keeps the
+# lib and bin `gepeto` targets from colliding on one doc filename.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q

@@ -9,10 +9,10 @@
 use gepeto::prelude::*;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    ChaosPlan, Dfs, DfsError, Emitter, FailurePlan, FnMapper, JobError, MapOnlyJob, RetryPolicy,
-    SimParams,
+    ChaosPlan, Dfs, DfsError, Emitter, FailurePlan, FnMapper, JobError, JournalEntry, MapOnlyJob,
+    RetryPolicy, RunJournal, SimParams,
 };
-use gepeto_telemetry::Recorder;
+use std::sync::Arc;
 
 fn dataset() -> Dataset {
     SyntheticGeoLife::new(GeneratorConfig {
@@ -56,7 +56,7 @@ fn kmeans_survives_a_datanode_crash_bit_identically() {
         let cluster = unit_cluster(chaos);
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(&cluster, &dfs, "d", &cfg).unwrap()
+        kmeans::mapreduce_kmeans(&cluster, &mut dfs, "d", &cfg, None, &RunCtx::default()).unwrap()
     };
     let clean = run(ChaosPlan::none());
     // Node 0 dies 1.5 virtual seconds into the first iteration's map
@@ -104,7 +104,7 @@ fn single_job_crash_recovery_shows_up_in_stats_and_counters() {
         let cluster = unit_cluster(chaos);
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap()
     };
     let (clean, _) = run(ChaosPlan::none());
     let (survived, stats) = run(ChaosPlan::none().crash_node(1, 1.5));
@@ -189,13 +189,17 @@ fn checkpointed_kmeans_retries_dead_jobs_and_matches_the_clean_run() {
         let cluster = unit_cluster(ChaosPlan::none());
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(&cluster, &dfs, "d", &cfg).unwrap()
+        kmeans::mapreduce_kmeans(&cluster, &mut dfs, "d", &cfg, None, &RunCtx::default()).unwrap()
     };
     // An aggressive failure plan with a tiny attempt budget kills whole
     // jobs; the checkpointed driver re-submits each dead iteration under
     // a fresh job name (re-rolling the per-attempt failure hashes) and
     // resumes from the last good centroids.
-    let flaky = {
+    let retrying = RunCtx {
+        retry: RetryPolicy::default().retries(50),
+        ..RunCtx::default()
+    };
+    let flaky_run = |journal: Option<&Arc<RunJournal>>| {
         // Seed chosen so attempt 0 of several iterations dies (27 map
         // tasks at p=0.4 with a 2-attempt budget kill most submissions)
         // while a re-submission under the re-rolled `.rN` name succeeds
@@ -208,16 +212,9 @@ fn checkpointed_kmeans_retries_dead_jobs_and_matches_the_clean_run() {
         });
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans_checkpointed(
-            &cluster,
-            &mut dfs,
-            "d",
-            &cfg,
-            &RetryPolicy::default().retries(50),
-            &Recorder::disabled(),
-        )
-        .unwrap()
+        kmeans::mapreduce_kmeans(&cluster, &mut dfs, "d", &cfg, journal, &retrying).unwrap()
     };
+    let flaky = flaky_run(None);
     assert!(
         flaky.job_retries > 0,
         "p=0.35 with max_attempts=1 must kill at least one job"
@@ -228,6 +225,71 @@ fn checkpointed_kmeans_retries_dead_jobs_and_matches_the_clean_run() {
         centroid_bits(&flaky.centroids),
         "checkpoint-resume must reproduce the clean trajectory exactly"
     );
+
+    // The journaled arm: the same flaky plan under a run journal, where
+    // the journal checkpoint is what each re-submission resumes from.
+    let run_dir = std::env::temp_dir().join(format!(
+        "gepeto-chaos-journaled-kmeans-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
+    let journaled = flaky_run(Some(&journal));
+    assert!(
+        journaled.job_retries > 0,
+        "no journaled job was re-submitted"
+    );
+    assert_eq!(clean.iterations, journaled.iterations);
+    assert_eq!(
+        centroid_bits(&clean.centroids),
+        centroid_bits(&journaled.centroids),
+        "journal + retries must reproduce the clean trajectory exactly"
+    );
+    let checkpoints = journal
+        .entries()
+        .into_iter()
+        .filter(|e| matches!(e, JournalEntry::Checkpoint { label, .. } if label == "kmeans"))
+        .count();
+    assert_eq!(
+        checkpoints, journaled.iterations,
+        "one checkpoint per iteration"
+    );
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+#[test]
+fn djcluster_retries_dead_jobs_and_matches_the_clean_run() {
+    let ds = dataset();
+    let cfg = djcluster::DjConfig::default();
+    let run = |cluster: &Cluster, ctx: &RunCtx| {
+        let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
+        gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
+        djcluster::mapreduce_djcluster_full(cluster, &mut dfs, "d", &cfg, None, ctx).unwrap()
+    };
+    let (clean, _, _) = run(&unit_cluster(ChaosPlan::none()), &RunCtx::default());
+    // Seed chosen the way the k-means test's was (and the same one):
+    // attempt 0 of both the preprocessing and the clustering stage dies
+    // (p=0.4 per map attempt with a 2-attempt budget) while a
+    // re-submission under the re-rolled `.rN` name succeeds within the
+    // retry budget — deterministic by construction. Most seeds exhaust
+    // even 50 re-submissions of the speed-filter job.
+    let flaky_cluster = unit_cluster(ChaosPlan::none()).with_failures(FailurePlan {
+        map_fail_prob: 0.4,
+        reduce_fail_prob: 0.0,
+        seed: 18,
+        max_attempts: 2,
+    });
+    let retrying = RunCtx {
+        retry: RetryPolicy::default().retries(50),
+        ..RunCtx::default()
+    };
+    let (flaky, pre, stats) = run(&flaky_cluster, &retrying);
+    assert!(
+        pre.job_retries + stats.job_retries > 0,
+        "the failure plan killed no DJ-Cluster job"
+    );
+    assert_eq!(clean.canonical_ids(), flaky.canonical_ids());
+    assert_eq!(clean.noise, flaky.noise);
 }
 
 #[test]

@@ -31,9 +31,9 @@ fn run_sampling(chaos: ChaosPlan) -> (gepeto_mapred::JobStats, Recorder) {
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToMiddle);
-    let rec = Recorder::enabled();
-    let (_, stats) = sampling::mapreduce_sample_with(&cluster, &dfs, "d", &cfg, &rec).unwrap();
-    (stats, rec)
+    let ctx = RunCtx::from(&Recorder::enabled());
+    let (_, stats) = sampling::mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &ctx).unwrap();
+    (stats, ctx.telemetry)
 }
 
 #[test]

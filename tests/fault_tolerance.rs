@@ -35,7 +35,7 @@ fn sampling_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample(cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap()
     };
     let (a, _) = run(&clean);
     let (b, stats) = run(&flaky);
@@ -64,7 +64,7 @@ fn kmeans_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(cluster, &dfs, "d", &cfg).unwrap()
+        kmeans::mapreduce_kmeans(cluster, &mut dfs, "d", &cfg, None, &RunCtx::default()).unwrap()
     };
     let a = run(&clean);
     let b = run(&flaky);
@@ -83,8 +83,15 @@ fn djcluster_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        let (clustering, pre, _) =
-            djcluster::mapreduce_djcluster_full(cluster, &mut dfs, "d", &cfg, None).unwrap();
+        let (clustering, pre, _) = djcluster::mapreduce_djcluster_full(
+            cluster,
+            &mut dfs,
+            "d",
+            &cfg,
+            None,
+            &RunCtx::default(),
+        )
+        .unwrap();
         (
             clustering.canonical_ids(),
             clustering.noise,
@@ -113,7 +120,7 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample(cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap()
     };
     let (a, clean_stats) = run(&clean);
     let (b, flaky_stats) = run(&flaky);
@@ -152,7 +159,8 @@ fn job_fails_cleanly_when_attempts_exhausted() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&doomed, 32 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let err = sampling::mapreduce_sample(&doomed, &dfs, "d", &cfg).unwrap_err();
+    let err =
+        sampling::mapreduce_sample(&doomed, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap_err();
     assert!(matches!(
         err,
         gepeto_mapred::JobError::TaskFailed { phase: "map", .. }

@@ -37,7 +37,8 @@ fn run_kmeans(chaos: ChaosPlan, rec: &Recorder) -> kmeans::KMeansResult {
         max_iterations: 6,
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
-    kmeans::mapreduce_kmeans_with(&cluster, &dfs, "d", &cfg, rec).unwrap()
+    let ctx = RunCtx::from(rec);
+    kmeans::mapreduce_kmeans(&cluster, &mut dfs, "d", &cfg, None, &ctx).unwrap()
 }
 
 #[test]
@@ -100,8 +101,10 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let run = |budget: Option<usize>, rec: &Recorder| {
-        sampling::mapreduce_sample_by_user(&cluster, &dfs, "d", &scfg, budget, rec).unwrap()
+    let mut run = |budget: Option<usize>, rec: &Recorder| {
+        let ctx = RunCtx::from(rec);
+        sampling::mapreduce_sample_grouped(&cluster, &mut dfs, "d", &scfg, budget, None, &ctx)
+            .unwrap()
     };
 
     // Unbudgeted, the whole by-user shuffle buffers in memory and the

@@ -27,9 +27,10 @@ fn sampling_equivalence_across_chunk_sizes() {
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     let seq = sampling::sequential_sample(&ds, &cfg);
     for &chunk in &[1usize << 22, 64 * 1024, 8 * 1024] {
-        let dfs = dfs_with_chunks(&cluster, &ds, chunk);
+        let mut dfs = dfs_with_chunks(&cluster, &ds, chunk);
         let chunks = dfs.num_blocks("d").unwrap();
-        let (mr, _) = sampling::mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, _) =
+            sampling::mapreduce_sample(&cluster, &mut dfs, "d", &cfg, &RunCtx::default()).unwrap();
         // Identical up to the per-chunk window-boundary artifact.
         let diff = mr.num_traces() as i64 - seq.num_traces() as i64;
         assert!(
@@ -96,7 +97,9 @@ fn preprocessing_equivalence() {
     let cluster = Cluster::local(4, 2);
     // One chunk: exact equality (chunk boundaries can differ at edges).
     let mut dfs = dfs_with_chunks(&cluster, &ds, 1 << 22);
-    let stats = djcluster::mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg).unwrap();
+    let stats =
+        djcluster::mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg, &RunCtx::default())
+            .unwrap();
     let out = gepeto::dfs_io::read_dataset(&dfs, "out").unwrap();
     assert_eq!(out, seq);
     assert_eq!(stats.after_dedup, seq.num_traces());
@@ -112,14 +115,16 @@ fn djcluster_equivalence_regardless_of_rtree_construction() {
     gepeto::dfs_io::put_dataset(&mut dfs, "pre", &pre).unwrap();
 
     let seq = djcluster::sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
-    let (direct, _) = djcluster::mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+    let ctx = RunCtx::default();
+    let (direct, _) =
+        djcluster::mapreduce_djcluster(&cluster, &mut dfs, "pre", &cfg, None, &ctx).unwrap();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig {
         curve: gepeto_geo::SpaceFillingCurve::ZOrder,
         partitions: 5,
         ..gepeto::rtree_build::RTreeBuildConfig::default()
     };
     let (mr_tree, _) =
-        djcluster::mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, Some(&rcfg)).unwrap();
+        djcluster::mapreduce_djcluster(&cluster, &mut dfs, "pre", &cfg, Some(&rcfg), &ctx).unwrap();
 
     assert_eq!(direct.canonical_ids(), seq.canonical_ids());
     assert_eq!(mr_tree.canonical_ids(), seq.canonical_ids());

@@ -27,8 +27,10 @@ fn exposition_job_stats_and_summary_agree_on_every_counter() {
     let rec = Recorder::monitored();
     let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
     // A 1-byte budget forces every partition out of core.
+    let ctx = RunCtx::from(&rec);
     let (_, stats) =
-        sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &cfg, Some(1), &rec).unwrap();
+        sampling::mapreduce_sample_grouped(&cluster, &mut dfs, "synth", &cfg, Some(1), None, &ctx)
+            .unwrap();
 
     // The run exercised the paths whose counters are compared below.
     // Which repair a seal needs depends on the spill file names, so only

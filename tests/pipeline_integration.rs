@@ -25,7 +25,9 @@ fn table1_shape_sampling_reduces_monotonically() {
     let mut counts = Vec::new();
     for window in [60i64, 300, 600] {
         let cfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
-        let (sampled, _) = sampling::mapreduce_sample(&cluster, &dfs, "geolife", &cfg).unwrap();
+        let (sampled, _) =
+            sampling::mapreduce_sample(&cluster, &mut dfs, "geolife", &cfg, &RunCtx::default())
+                .unwrap();
         counts.push(sampled.num_traces());
     }
     assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
@@ -47,11 +49,14 @@ fn table4_shape_preprocessing_reduces_in_both_steps() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 1 << 20);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "geolife", "sampled", &scfg).unwrap();
+    let ctx = RunCtx::default();
+    let (sampled, _) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "geolife", &scfg, &ctx).unwrap();
+    put_dataset(&mut dfs, "sampled", &sampled).unwrap();
 
     let cfg = djcluster::DjConfig::default();
-    let pre =
-        djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg).unwrap();
+    let pre = djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg, &ctx)
+        .unwrap();
     assert!(pre.after_speed_filter < pre.input);
     assert!(pre.after_dedup <= pre.after_speed_filter);
     let kept = pre.after_speed_filter as f64 / pre.input as f64;
@@ -97,7 +102,15 @@ fn kmeans_on_generated_data_converges() {
         max_iterations: 60,
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
-    let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "geolife", &cfg).unwrap();
+    let result = kmeans::mapreduce_kmeans(
+        &cluster,
+        &mut dfs,
+        "geolife",
+        &cfg,
+        None,
+        &RunCtx::default(),
+    )
+    .unwrap();
     assert!(result.iterations > 1, "non-trivial iteration count");
     assert_eq!(result.centroids.len(), 11);
     // Every centroid is inside the city bounding box.
@@ -113,12 +126,15 @@ fn full_dj_pipeline_extracts_city_pois() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 512 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "geolife", "sampled", &scfg).unwrap();
+    let ctx = RunCtx::default();
+    let (sampled, _) =
+        sampling::mapreduce_sample(&cluster, &mut dfs, "geolife", &scfg, &ctx).unwrap();
+    put_dataset(&mut dfs, "sampled", &sampled).unwrap();
 
     let cfg = djcluster::DjConfig::default();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
     let (clustering, pre, stats) =
-        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg))
+        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg), &ctx)
             .unwrap();
     assert!(pre.after_dedup > 0);
     assert!(!clustering.clusters.is_empty());

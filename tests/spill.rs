@@ -52,9 +52,10 @@ fn regroup(
     budget: Option<usize>,
 ) -> (Dataset, gepeto_mapred::JobStats) {
     let cluster = Cluster::local(4, 2);
-    let dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
+    let mut dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
     let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &cfg, budget, &Recorder::disabled())
+    let ctx = RunCtx::default();
+    sampling::mapreduce_sample_grouped(&cluster, &mut dfs, "synth", &cfg, budget, None, &ctx)
         .unwrap()
 }
 
@@ -69,9 +70,10 @@ fn regroup_chaos(
 ) -> (Dataset, gepeto_mapred::JobStats) {
     let mut cluster = Cluster::local(4, 2).with_chaos(chaos);
     cluster.sim = SimParams::unit_time();
-    let dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
+    let mut dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
     let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &cfg, budget, &Recorder::disabled())
+    let ctx = RunCtx::default();
+    sampling::mapreduce_sample_grouped(&cluster, &mut dfs, "synth", &cfg, budget, None, &ctx)
         .unwrap()
 }
 
@@ -103,7 +105,7 @@ fn spilled_shuffle_output_is_bit_identical_to_in_memory() {
 #[test]
 fn kmeans_under_budget_matches_in_memory_centroids() {
     let cluster = Cluster::local(4, 2);
-    let dfs = synth_dfs(&cluster, 30, 3, 16 * 1024);
+    let mut dfs = synth_dfs(&cluster, 30, 3, 16 * 1024);
     let base = kmeans::KMeansConfig {
         k: 4,
         max_iterations: 4,
@@ -113,8 +115,10 @@ fn kmeans_under_budget_matches_in_memory_centroids() {
         memory_budget: Some(1),
         ..base.clone()
     };
-    let clean = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &base).unwrap();
-    let spilled = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &starved).unwrap();
+    let ctx = RunCtx::default();
+    let clean = kmeans::mapreduce_kmeans(&cluster, &mut dfs, "synth", &base, None, &ctx).unwrap();
+    let spilled =
+        kmeans::mapreduce_kmeans(&cluster, &mut dfs, "synth", &starved, None, &ctx).unwrap();
 
     let spill_files: u64 = spilled
         .per_iteration
@@ -140,17 +144,11 @@ fn crash_mid_spill_recovers_bit_identically() {
     let run = |chaos: ChaosPlan| {
         let mut cluster = Cluster::local(3, 2).with_chaos(chaos);
         cluster.sim = SimParams::unit_time();
-        let dfs = synth_dfs(&cluster, 120, 11, 4 * 1024);
+        let mut dfs = synth_dfs(&cluster, 120, 11, 4 * 1024);
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        sampling::mapreduce_sample_by_user(
-            &cluster,
-            &dfs,
-            "synth",
-            &cfg,
-            Some(64),
-            &Recorder::disabled(),
-        )
-        .unwrap()
+        let ctx = RunCtx::default();
+        sampling::mapreduce_sample_grouped(&cluster, &mut dfs, "synth", &cfg, Some(64), None, &ctx)
+            .unwrap()
     };
     let (clean, clean_stats) = run(ChaosPlan::none());
     let (chaotic, chaotic_stats) = run(ChaosPlan::none().crash_node(0, 1.5));
@@ -221,13 +219,14 @@ fn enospc_recovers_by_growing_the_memory_budget() {
             // 1 byte forces every partition out of core; after one
             // ENOSPC the advised budget is large enough to spill nothing.
             let budget = advice.scaled_budget(&policy, Some(1));
-            sampling::mapreduce_sample_by_user(
+            sampling::mapreduce_sample_grouped(
                 &cluster,
-                dfs,
+                &mut dfs.clone(),
                 "synth",
                 &cfg,
                 budget,
-                &Recorder::disabled(),
+                None,
+                &RunCtx::default(),
             )
         },
     )

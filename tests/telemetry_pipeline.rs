@@ -27,7 +27,8 @@ fn kmeans_emits_ordered_spans_into_jsonl_sink() {
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
     let rec = Recorder::enabled();
-    let result = kmeans::mapreduce_kmeans_with(&cluster, &dfs, "geolife", &cfg, &rec).unwrap();
+    let ctx = RunCtx::from(&rec);
+    let result = kmeans::mapreduce_kmeans(&cluster, &mut dfs, "geolife", &cfg, None, &ctx).unwrap();
     assert!(result.iterations >= 1);
 
     // Ordering: the kmeans run span opens first, every iteration span
